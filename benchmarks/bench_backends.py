@@ -76,12 +76,7 @@ def bench(quick: bool) -> None:
         outputs = {b: runner(IMPLEMENTATIONS[b]) for b in backends}  # warm-up
         if len(backends) == 2:
             a, b = (outputs[name] for name in backends)
-            if a.dtype.kind == "i":
-                assert np.array_equal(a, b), "backends disagree"
-            else:
-                # libm lgamma vs scipy gammaln differ in the last ulps; the
-                # atol floor covers the subnormal underflow boundary
-                assert np.allclose(a, b, rtol=1e-6, atol=1e-280), "backends disagree"
+            assert np.array_equal(a, b), "backends disagree"
         times = {b: _best_of(lambda bk=b: runner(IMPLEMENTATIONS[bk]), repeats) for b in backends}
         row = f"{label:<46s}" + "".join(f"{times[b]:>11.4f}s" for b in backends)
         if len(backends) == 2:

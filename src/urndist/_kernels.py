@@ -1,8 +1,8 @@
-"""Hot numeric kernels: jitted numba implementations with numpy fallbacks.
+"""Hot numeric kernels: jitted numba sampling kernels with numpy fallbacks.
 
-Everything here is batch-oriented: drawing many variates or evaluating the
-mass function over a block of support points.  Two interchangeable
-implementations exist for each kernel,
+Everything here is batch-oriented: drawing many variates or evaluating
+log-fail and the mass function over a block of support points.  The
+sampling kernels have two interchangeable implementations,
 
 * ``numba``: scalar loops compiled with ``@njit`` (the default when numba
   imports cleanly), and
@@ -11,8 +11,8 @@ implementations exist for each kernel,
 Select one explicitly with the environment variable ``URN_BACKEND=numba``
 or ``URN_BACKEND=numpy``; unset means numba-if-available.  The sampling
 kernels are counter-based (see :mod:`urndist.rng`), so both backends emit
-bit-identical sample streams; the mass-function kernels agree to a few
-ulps but not bitwise (libm lgamma vs scipy's).
+bit-identical sample streams.  The mass-function kernel has one
+implementation, built on ``floats.log_fail_block``; both backends serve it.
 
 ``benchmarks/bench_backends.py`` times the two implementations side by
 side.
@@ -20,13 +20,12 @@ side.
 
 from __future__ import annotations
 
-import math
 import os
 import warnings
 
 import numpy as np
-from scipy.special import gammaln
 
+from .floats import LOG_FAIL_BLOCK, log_fail_block
 from .rng import GOLDEN_GAMMA, MASK64, U53
 
 __all__ = [
@@ -47,19 +46,6 @@ _U27 = np.uint64(27)
 _U31 = np.uint64(31)
 _U11 = np.uint64(11)
 _U1 = np.uint64(1)
-
-# Largest telescoping-product length the mass-function kernels evaluate term
-# by term; above it they take the lgamma difference.
-_DIRECT_TERMS = 32
-
-
-def _log_fail_direct(total: int, good: int, n: int) -> float:
-    # Shorter of the two equivalent product forms:
-    #   prod_{j<n} (1 - good/(total-j))  ==  prod_{j<good} (1 - n/(total-j))
-    if n <= good:
-        return math.fsum(math.log1p(-good / (total - j)) for j in range(n))
-    return math.fsum(math.log1p(-n / (total - j)) for j in range(good))
-
 
 # ---------------------------------------------------------------------------
 # numpy implementations
@@ -113,29 +99,15 @@ def _inverse_cdf_table_batch_numpy(
 def _pmf_float_range_numpy(
     total: int, good: int, n_start: int, count: int
 ) -> np.ndarray:
-    ns = np.arange(n_start, n_start + count, dtype=np.int64)
-    ms = ns - 1  # failures before the success at draw n
-    lf = np.empty(count, dtype=np.float64)
-    if good <= _DIRECT_TERMS:
-        acc = np.zeros(count, dtype=np.float64)
-        mf = ms.astype(np.float64)
-        for j in range(good):
-            acc += np.log1p(-mf / float(total - j))
-        lf = acc
-    else:
-        direct = ms <= _DIRECT_TERMS
-        for i in np.nonzero(direct)[0]:
-            lf[i] = _log_fail_direct(total, good, int(ms[i]))
-        rest = ~direct
-        if rest.any():
-            mr = ms[rest].astype(np.float64)
-            lf[rest] = (
-                gammaln(total - mr + 1.0)
-                - gammaln(total - mr - good + 1.0)
-                - gammaln(total + 1.0)
-                + gammaln(total - good + 1.0)
-            )
-    return np.exp(lf) * (good / (total - ns.astype(np.float64) + 1.0))
+    out = np.empty(count, dtype=np.float64)
+    first = int(count > 0 and n_start == 1)
+    out[:first] = good / total  # n = 1 has no log-fail term
+    for lo in range(first, count, LOG_FAIL_BLOCK):
+        m0, size = n_start + lo - 1, min(LOG_FAIL_BLOCK, count - lo)
+        ratio = good / (float(total - m0) - np.arange(size, dtype=np.float64))
+        lf = log_fail_block(total, good, m0, size)
+        np.exp(lf + np.log(ratio), out=out[lo : lo + size])
+    return out
 
 
 _NUMPY_IMPLS = {
@@ -208,32 +180,6 @@ if _HAVE_NUMBA:
             out[t] = lo + 1
         return out
 
-    @njit(cache=True)
-    def _pmf_float_range_nb(total, good, n_start, count):
-        out = np.empty(count, dtype=np.float64)
-        lg_all = math.lgamma(total + 1.0)
-        lg_bad = math.lgamma(total - good + 1.0)
-        for i in range(count):
-            n = n_start + i
-            m = n - 1
-            if min(m, good) <= _DIRECT_TERMS:
-                lf = 0.0
-                if m <= good:
-                    for j in range(m):
-                        lf += math.log1p(-good / (total - j))
-                else:
-                    for j in range(good):
-                        lf += math.log1p(-m / (total - j))
-            else:
-                lf = (
-                    math.lgamma(total - m + 1.0)
-                    - math.lgamma(total - m - good + 1.0)
-                    - lg_all
-                    + lg_bad
-                )
-            out[i] = math.exp(lf) * (good / (total - n + 1.0))
-        return out
-
     def _as_u64(value: int) -> np.uint64:
         return np.uint64(value & MASK64)
 
@@ -247,7 +193,7 @@ if _HAVE_NUMBA:
         "inverse_cdf_table_batch": lambda table, seed, draw0, count: (
             _inverse_cdf_table_batch_nb(table, _as_u64(seed), _as_u64(draw0), count)
         ),
-        "pmf_float_range": _pmf_float_range_nb,
+        "pmf_float_range": _pmf_float_range_numpy,
     }
 else:
     _NUMBA_IMPLS = {}
@@ -315,5 +261,9 @@ def inverse_cdf_table_batch(
 
 
 def pmf_float_range(total: int, good: int, n_start: int, count: int) -> np.ndarray:
-    """Float mass function over the support block n_start..n_start+count-1."""
+    """Float mass function at n_start..n_start+count-1, within 1..total-good+1.
+
+    exp(log_fail(n-1) + log(good/(total-n+1))) from ``log_fail_block``, as
+    ``floats.pmf_float`` computes it; n = 1 is good/total.
+    """
     return _ACTIVE["pmf_float_range"](total, good, n_start, count)

@@ -4,7 +4,7 @@ and self-checks, as CSV or JSON on stdout.
 Exit codes: 0 success, 2 usage or validation error, 3 resource guard
 tripped, 4 self-check failure.  Diagnostics go to stderr.  The environment
 variable URN_SEED supplies a default sampling seed (an explicit --seed
-always wins); URN_BACKEND picks the numeric backend (see README).
+always wins); URN_BACKEND picks the numeric backend.
 """
 
 from __future__ import annotations

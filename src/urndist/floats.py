@@ -8,16 +8,17 @@ out-of-support cases fall out naturally.
 
 Accuracy notes
 --------------
-``log_fail`` is the backbone, and it has a single evaluation: the log of
-the hypergeometric probability of no good object in m draws, in Loader's
-saddle-point form (C. Loader, "Fast and Accurate Computation of Binomial
-Probabilities", 2000; R nmath ``dhyper.c``, ``dbinom.c``, ``stirlerr.c``,
-``bd0.c``).  Stirling's formula is applied to the four factorials of
-C(total-m, good)/C(total, good) with its exact error terms (``stirlerr``),
-and the large logarithms are regrouped analytically so that no term is
-more than a few times the result in size.  The relative error of the log
-is then a few ulps at every size, small values included: at totals of
-1e9 and 1e12 it stays below 1e-15 against 60-digit references.
+``log_fail`` is the backbone: the log of the hypergeometric probability of
+no good object in m draws, in Loader's saddle-point form (C. Loader, "Fast
+and Accurate Computation of Binomial Probabilities", 2000; R nmath
+``dhyper.c``, ``dbinom.c``, ``stirlerr.c``, ``bd0.c``).  Stirling's
+formula is applied to the four factorials of C(total-m, good)/C(total,
+good) with its exact error terms (``stirlerr``), and the large logarithms
+are regrouped so that no term is more than a few times the result in
+size.  The relative error of the log is then a few ulps at every size:
+below 1e-15 at totals of 1e9 and 1e12 against 60-digit references.  The
+same formula serves scalars (``_log_fail``) and contiguous blocks of m in
+numpy (``log_fail_block``, for cdf tables and mass-function ranges).
 
 Stated bounds: 1e-13 relative on log-fail values however small, and
 1e-10 relative on pmf and cdf values.  ``pmf_float`` rounds once, in its
@@ -32,11 +33,14 @@ from __future__ import annotations
 import functools
 import math
 
+import numpy as np
+
 from .errors import ParameterError
 from .exact import UrnParams
 
 __all__ = [
     "log_fail",
+    "log_fail_block",
     "pmf_float",
     "cdf_float",
     "mean_float",
@@ -77,33 +81,25 @@ _HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 def _stirlerr(n: int) -> float:
     """Error of Stirling's formula for log(n!), for integers n >= 0.
 
-    Table below 16, then the series truncated where its next term falls
-    below 2e-16 absolute (R nmath ``stirlerr.c``).
+    Table below 16, then the series to 5 terms, or to 2 above 500, where
+    the next term falls below 2e-16 absolute (R nmath ``stirlerr.c``).
     """
     if n <= 15:
         return _STIRLERR_SMALL[n]
     nn = n * n
     if n > 500:
         return (_S0 - _S1 / nn) / n
-    if n > 80:
-        return (_S0 - (_S1 - _S2 / nn) / nn) / n
-    if n > 35:
-        return (_S0 - (_S1 - (_S2 - _S3 / nn) / nn) / nn) / n
     return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / nn) / nn) / nn) / nn) / n
-
-
-def _log1m_ratio(k: int, total: int) -> float:
-    """log(1 - k/total) for 0 <= k < total, without cancellation near k = total."""
-    if k + k < total:
-        return math.log1p(-k / total)
-    return math.log((total - k) / total)
 
 
 @functools.lru_cache(maxsize=64)
 def _fail_constants(total: int, good: int) -> tuple[float, float]:
     # the two terms of _log_fail that depend on the urn alone
     bad = total - good
-    return _stirlerr(bad) - _stirlerr(total), _log1m_ratio(good, total)
+    st_const = _stirlerr(bad) - _stirlerr(total)
+    if good + good < total:
+        return st_const, math.log1p(-good / total)
+    return st_const, math.log(bad / total)
 
 
 def _log_fail(total: int, good: int, m: int) -> float:
@@ -122,7 +118,7 @@ def _log_fail(total: int, good: int, m: int) -> float:
     bad = total - good
     st_const, log_p_bad = _fail_constants(total, good)
     b = total - m
-    # _log1m_ratio(m, total), inlined: this is the hot path of cdf tables
+    # log(b/total), without cancellation near m = total
     log_q = math.log1p(-m / total) if m + m < total else math.log(b / total)
     if m == bad:
         # a = 0: Fail(bad) = 1/C(total, good), R's x == n branch of dbinom_raw
@@ -152,6 +148,62 @@ def _log_fail(total: int, good: int, m: int) -> float:
         - st_a
         + st_b
     )
+
+
+# Points per log_fail_block call: the block's temporaries stay in cache.
+LOG_FAIL_BLOCK = 1 << 15
+
+
+def _stirlerr_block(x0: int, x: np.ndarray) -> np.ndarray:
+    # _stirlerr at the descending block x = x0 - k: the 2-term series above
+    # 500, the 5-term series, then the table, as three contiguous slices
+    i, j = (min(max(x0 - cut, 0), x.size) for cut in (500, 15))
+    out = np.empty_like(x)
+    out[:i] = (_S0 - _S1 / (x[:i] * x[:i])) / x[:i]
+    nn = x[i:j] * x[i:j]
+    out[i:j] = (_S0 - (_S1 - (_S2 - (_S3 - _S4 / nn) / nn) / nn) / nn) / x[i:j]
+    out[j:] = np.take(_STIRLERR_SMALL, x[j:].astype(np.intp))
+    return out
+
+
+def log_fail_block(total: int, good: int, m0: int, count: int) -> np.ndarray:
+    """``_log_fail`` at m = m0..m0+count-1, in numpy.
+
+    Needs 1 <= m0 and m0+count-1 <= total-good; callers pass at most
+    LOG_FAIL_BLOCK points.  m, a and b are exact offsets from the block
+    start, so a and b stay exact where m is close to total, and each
+    regime switch of ``_log_fail`` is a contiguous slice of the block.
+    """
+    bad = total - good
+    out = np.empty(count, dtype=np.float64)
+    if count and m0 + count - 1 == bad:
+        out[-1] = _log_fail(total, good, bad)  # a = 0
+        count -= 1
+    if not count:
+        return out
+    st_const, log_p_bad = _fail_constants(total, good)
+    k, t, g = np.arange(count, dtype=np.float64), float(total), float(good)
+    m = float(m0) + k
+    a = float(bad - m0) - k
+    b = float(total - m0) - k
+    bad_b = float(bad) * b
+    # log1p(-m/total) while 2m < total, and log1p(-m*good/(bad*b)) while
+    # 2*m*good < bad*b, as in _log_fail
+    i = min(max((total - 1) // 2 - m0 + 1, 0), count)
+    j = min(max((bad * total - 1) // (2 * good + bad) - m0 + 1, 0), count)
+    log_q = np.concatenate((np.log1p(-m[:i] / t), np.log(b[i:] / t)))
+    log_ratio = np.concatenate(
+        (np.log1p(-(m[:j] * g) / bad_b[:j]), np.log(a[j:] * t / bad_b[j:]))
+    )
+    out[:count] = (
+        g * log_q
+        + m * log_p_bad
+        - (a + 0.5) * log_ratio
+        + st_const
+        - _stirlerr_block(bad - m0, a)
+        + _stirlerr_block(total - m0, b)
+    )
+    return out
 
 
 def _require_count(n: int) -> None:

@@ -20,8 +20,8 @@ import numpy as np
 from . import _kernels
 from .errors import ParameterError
 from .exact import UrnParams
-from .floats import cdf_float
-from .rng import SamplerState, draw_root, step_uniform
+from .floats import LOG_FAIL_BLOCK, log_fail_block
+from .rng import SamplerState
 
 __all__ = [
     "inverse_cdf",
@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 # Above this support size the batch inverse sampler stops tabulating the cdf
-# and scans per draw instead (the table would cost more than the draws).
+# and scans it up to the largest quantile instead, so memory follows count.
 _TABLE_LIMIT = 1 << 22
 
 
@@ -57,28 +57,47 @@ def sample_urn_walk(params: UrnParams, state: SamplerState) -> int:
     return int(sample_urn_walk_batch(params, state, 1)[0])
 
 
-def inverse_cdf(params: UrnParams, u: float) -> int:
-    """Smallest n with cdf_float(n) > u, for u in [0, 1).
+def _cdf_blocks(params: UrnParams):
+    # (n0, cdf at n0..n0+len-1) for the support in LOG_FAIL_BLOCK blocks from
+    # n = 1, the same for every caller; the last block ends in exactly 1.0
+    size = params.support_size
+    for n0 in range(1, size + 1, LOG_FAIL_BLOCK):
+        block = np.ones(min(LOG_FAIL_BLOCK, size + 1 - n0))
+        # log-fail needs n <= total-good; the cdf at n = total-good+1 is 1
+        lf = log_fail_block(params.total, params.good, n0, min(block.size, size - n0))
+        block[: lf.size] = -np.expm1(lf)
+        yield n0, block
 
-    This is the quantile map used by the inversion sampler.  Linear scan
-    from n = 1; the expected scan length equals the distribution mean, so
-    it is cheap whenever good is not vanishingly rare.
+
+def _quantiles(params: UrnParams, u: np.ndarray) -> np.ndarray:
+    # smallest n with cdf(n) > u, for each u: the sorted u are placed block
+    # by block, and the scan stops at the block of the largest quantile
+    order = np.argsort(u)
+    sorted_u = u[order]
+    out = np.empty(u.size, dtype=np.int64)
+    lo = 0
+    for n0, block in _cdf_blocks(params):
+        hi = int(np.searchsorted(sorted_u, block[-1], side="left"))
+        out[order[lo:hi]] = n0 + np.searchsorted(block, sorted_u[lo:hi], side="right")
+        lo = hi
+        if lo == u.size:
+            break
+    return out
+
+
+def inverse_cdf(params: UrnParams, u: float) -> int:
+    """Smallest n with cdf(n) > u, for u in [0, 1).
+
+    The quantile map of the inversion sampler.  It scans the cdf in the
+    blocks of the sampler's table, so the two agree by construction.
     """
     if not 0.0 <= u < 1.0:
         raise ParameterError(f"u must lie in [0, 1), got {u!r}")
-    n = 1
-    while cdf_float(params, n) <= u:
-        n += 1
-    return n
+    return int(_quantiles(params, np.array([u]))[0])
 
 
 def _cdf_table(params: UrnParams) -> np.ndarray:
-    # Entries are exactly the scalar cdf_float values, so table lookups and
-    # the scan in inverse_cdf can never disagree.
-    table = np.empty(params.support_size, dtype=np.float64)
-    for n in range(1, params.support_size + 1):
-        table[n - 1] = cdf_float(params, n)
-    return table
+    return np.concatenate([block for _, block in _cdf_blocks(params)])
 
 
 def sample_inverse_cdf_batch(
@@ -87,22 +106,18 @@ def sample_inverse_cdf_batch(
     """Draw ``count`` variates by cdf inversion.
 
     For tabulatable supports the cdf is evaluated once and inverted by
-    binary search per draw; otherwise each draw scans from n = 1.
+    binary search per draw; otherwise the cdf blocks are scanned once for
+    all draws, up to the largest quantile.
     """
     _require_count(count)
     draw0 = state.take(count)
     if params.support_size <= _TABLE_LIMIT:
         table = _cdf_table(params)
         return _kernels.inverse_cdf_table_batch(table, state.seed, draw0, count)
-    out = np.empty(count, dtype=np.int64)
-    for t in range(count):
-        u = step_uniform(draw_root(state.seed, draw0 + t), 0)
-        out[t] = inverse_cdf(params, u)
-    return out
+    return _quantiles(params, _kernels.uniform_block(state.seed, draw0, count))
 
 
 def sample_inverse_cdf(params: UrnParams, state: SamplerState) -> int:
     """One variate by cdf inversion; always in 1..total-good+1."""
-    draw = state.take(1)
-    u = step_uniform(draw_root(state.seed, draw), 0)
-    return inverse_cdf(params, u)
+    u = _kernels.uniform_block(state.seed, state.take(1), 1)
+    return int(_quantiles(params, u)[0])

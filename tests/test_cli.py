@@ -1,10 +1,14 @@
 """End-to-end CLI contract: flags, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import urndist
 from urndist import checks
 from urndist.checks import FamilyResult
 from urndist.cli import cli
@@ -218,6 +222,24 @@ class TestCheck:
         assert result.exit_code == 4
         assert "total=4" in result.stderr
         assert "moments,5,1,mean mismatch" in result.output
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_out(self):
+        # scipy is a test dependency only: the runtime must not load it
+        code = (
+            "import sys, urndist.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        root = os.path.dirname(os.path.dirname(urndist.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=root),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestOutputHygiene:

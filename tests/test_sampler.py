@@ -19,8 +19,10 @@ from urndist import (
     sample_urn_walk_batch,
     variance,
 )
-from urndist import _kernels
+from urndist import _kernels, sampler
+from urndist.floats import LOG_FAIL_BLOCK
 from urndist.rng import draw_root, step_uniform
+from urndist.sampler import _cdf_table
 
 
 def reference_urn_walk(total: int, good: int, seed: int, draw: int) -> int:
@@ -124,6 +126,26 @@ class TestInverseCdf:
         )[1:]
         for n, p in enumerate(table.probabilities, start=1):
             assert abs(hits[n - 1] / grid - float(p)) <= 2 / grid
+
+    def test_quantile_agrees_with_table_lookup(self):
+        # support of ~33k points spans two cdf blocks
+        params = UrnParams(LOG_FAIL_BLOCK + 400, 3)
+        table = _cdf_table(params)
+        assert params.support_size > LOG_FAIL_BLOCK
+        assert table[-1] == 1.0 and np.all(np.diff(table) >= 0.0)
+        rng = np.random.default_rng(11)
+        near_end = table[table < 1.0][-200:]
+        on_entries = rng.choice(table[:-1], 300)
+        grid = np.r_[np.linspace(0.0, 1.0, 1501)[:-1], near_end, on_entries]
+        looked_up = np.searchsorted(table, grid, side="right") + 1
+        assert [inverse_cdf(params, float(u)) for u in grid] == looked_up.tolist()
+
+    def test_draws_past_the_table_limit_equal_table_draws(self, monkeypatch):
+        params = UrnParams(LOG_FAIL_BLOCK + 400, 3)
+        want = sample_inverse_cdf_batch(params, SamplerState(seed=3), 4000)
+        monkeypatch.setattr(sampler, "_TABLE_LIMIT", 100)
+        got = sample_inverse_cdf_batch(params, SamplerState(seed=3), 4000)
+        assert np.array_equal(got, want)
 
     def test_range(self):
         for total, good in ((10, 3), (7, 1), (9, 9)):
