@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -56,6 +57,29 @@ def _emit_csv(header: str, lines) -> None:
     if chunk:
         out.write("\n".join(chunk) + "\n")
     out.flush()
+
+
+def _require_printable(total: int, good: int) -> None:
+    """Refuse a table whose exact fractions Python cannot turn into text.
+
+    No numerator or denominator in the table exceeds C(total, good), which
+    lies between (total/k)^k and (e*total/k)^k for k = min(good, total-good);
+    the coefficient itself is built only when those bounds, widened by one
+    digit for their rounding, straddle the int-to-str digit limit (0 means
+    unlimited).
+    """
+    limit = sys.get_int_max_str_digits()
+    k = min(good, total - good)
+    if not limit or not k:
+        return
+    low = k * (math.log10(total) - math.log10(k))
+    if low + k * math.log10(math.e) < limit - 1:
+        return
+    if low > limit + 1 or math.comb(total, good) >= 10**limit:
+        raise ResourceGuardError(
+            f"C({total}, {good}) has more than {limit} decimal digits, the "
+            f"integer-to-string limit, so the exact table cannot be written"
+        )
 
 
 def _guarded(fn):
@@ -114,6 +138,7 @@ def cmd_table(total: int, good: int, fmt: str) -> None:
             f"support size {params.support_size} exceeds the table limit "
             f"of {_TABLE_ROWS_LIMIT} rows"
         )
+    _require_printable(total, good)
     table = pmf_table(params)
 
     def rows():

@@ -6,9 +6,15 @@ to the geometric distribution q^(n-1) p with q = 1 - p.  This module
 measures that convergence with total-variation distance, reported together
 with the largest single-point discrepancy.
 
-The geometric tail mass beyond the urn law's finite support, q^(total-good+1),
-is added in closed form, so the reported distance carries no truncation
-error.
+Every draw misses with chance (bad-i)/(total-i) <= q, so Fail(m) <= q^m, and
+both laws put at most q^(n-1) on any n and at most q^(N-1) on all n >= N
+together.  The scan runs over n = 1, 2, ... in blocks and stops before a
+block that starts at N once 2 q^(N-1) is below the largest pointwise error
+found so far and at most 2^-60 of the |urn - geometric| mass summed so far
+(the factor 2 covers the rounding of q^(N-1)).  Its length therefore
+follows ln(2^60/tv)/p, not the support size.  When the scan reaches the end
+of the support instead, the geometric tail past it, q^(total-good+1), is
+added in closed form.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import numpy as np
 from . import _kernels
 from .errors import ParameterError
 from .exact import UrnParams
+from .floats import LOG_FAIL_BLOCK
 
 __all__ = [
     "ConvergenceRecord",
@@ -30,9 +37,6 @@ __all__ = [
     "tv_distance",
     "convergence_table",
 ]
-
-_CHUNK = 1 << 20
-
 
 @dataclass(frozen=True)
 class ConvergenceRecord:
@@ -58,35 +62,41 @@ def geometric_pmf(p: float, n: int) -> float:
 
 
 def _tv_stats(params: UrnParams) -> tuple[float, float, int]:
-    """(tv distance, max pointwise |pmf - geometric|, argmax n)."""
+    """(tv distance, max pointwise |pmf - geometric|, argmax n).
+
+    ``max_err`` and ``at_n`` are exact for the computed pmf values: no point
+    past the stop can reach ``max_err``.  tv is within its rounding: the
+    dropped mass is at most 2^-60 of it.
+    """
     total, good = params.total, params.good
     size = params.support_size
     p = good / total
     if good == total:
         return 0.0, 0.0, 1  # both laws are the point mass at 1
     q = 1.0 - p
-    log_q = math.log1p(-p)
-    # Beyond this index both laws underflow to exactly 0.0, so the absolute
-    # difference is exactly zero and the scan can stop early.
-    n_cut = min(size, int(800.0 / -log_q) + 3)
-    abs_chunks = []
+    abs_sums = []
+    scanned = 0.0
     max_err = 0.0
     at_n = 1
     start = 1
-    while start <= n_cut:
-        count = min(_CHUNK, n_cut - start + 1)
+    while start <= size:
+        rest = 2.0 * q ** (start - 1)  # bounds both laws' mass at n >= start
+        if rest < max_err and rest <= 2.0**-60 * scanned:
+            break
+        count = min(LOG_FAIL_BLOCK, size - start + 1)
         ns = np.arange(start, start + count, dtype=np.float64)
         urn = _kernels.pmf_float_range(total, good, start, count)
         geom = np.power(q, ns - 1.0) * p
         diff = np.abs(urn - geom)
-        abs_chunks.append(float(diff.sum()))
+        abs_sums.append(float(diff.sum()))
+        scanned += abs_sums[-1]
         i = int(diff.argmax())
         if diff[i] > max_err:
             max_err = float(diff[i])
             at_n = start + i
         start += count
-    tail = q ** size  # geometric mass past the urn law's support
-    tv = 0.5 * (math.fsum(abs_chunks) + tail)
+    tail = q ** size if start > size else 0.0  # geometric mass past the support
+    tv = 0.5 * (math.fsum(abs_sums) + tail)
     return min(1.0, tv), max_err, at_n
 
 

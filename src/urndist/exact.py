@@ -152,19 +152,27 @@ def variance(params: UrnParams) -> Fraction:
 def median(params: UrnParams) -> int:
     """Smallest m with P(X <= m) >= 1/2.
 
-    Found by scanning m = 1, 2, ... and testing the equivalent integer
-    inequality 2 C(total-m, good) <= C(total, good); the running binomial
-    is updated multiplicatively so the scan is cheap.
+    P(X <= m) >= 1/2 is the integer inequality 2 C(total-m, good) <=
+    C(total, good).  A galloping search probes m = 1, 2, 4, ... until it
+    holds, then bisects between the last failing and the first passing
+    probe: O(log median) binomials instead of a scan over m.
     """
     n, k = params.total, params.good
     full = binomial(n, k)
-    remaining = binomial(n - 1, k)  # C(total - m, good) at m = 1
-    m = 1
-    while 2 * remaining > full:
-        # C(n-m-1, k) = C(n-m, k) * (n-m-k) / (n-m); the division is exact.
-        remaining = remaining * (n - m - k) // (n - m)
-        m += 1
-    return m
+
+    def reached(m: int) -> bool:
+        return 2 * binomial(n - m, k) <= full
+
+    lo, hi = 0, 1  # m = 0 never passes: 2 C(n, k) > C(n, k)
+    while not reached(hi):
+        lo, hi = hi, min(2 * hi, params.support_size)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reached(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def mode(params: UrnParams) -> frozenset[int]:

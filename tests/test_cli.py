@@ -11,7 +11,8 @@ from click.testing import CliRunner
 import urndist
 from urndist import checks
 from urndist.checks import FamilyResult
-from urndist.cli import cli
+from urndist.cli import _require_printable, cli
+from urndist.errors import ResourceGuardError
 
 
 @pytest.fixture
@@ -62,6 +63,34 @@ class TestTable:
         result = run(runner, "table", "--n", "2000000", "--k", "1")
         assert result.exit_code == 3
         assert "limit" in result.stderr
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unprintable_fractions_exit_3(self, runner, fmt):
+        # C(20000, 10000) has 6019 digits, past Python's default 4300
+        result = run(runner, "table", "--n", "20000", "--k", "10000", "--format", fmt)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+        assert "digits" in result.stderr
+
+    def test_printable_fractions_still_written(self, runner):
+        result = run(runner, "table", "--n", "2000", "--k", "1000")
+        assert result.exit_code == 0
+        assert len(result.output.splitlines()) == 1002
+
+    def test_digit_guard_is_exact_at_the_limit(self, monkeypatch):
+        # C(7372827, 1000) has 4300 digits and C(7372828, 1000) has 4301
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        for good in (1000, 7372827 - 1000):
+            _require_printable(7372827, good)
+        for good in (1000, 7372828 - 1000):
+            with pytest.raises(ResourceGuardError):
+                _require_printable(7372828, good)
+
+    def test_digit_limit_zero_means_unlimited(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        _require_printable(20000, 10000)
 
 
 class TestStats:
@@ -178,6 +207,15 @@ class TestConverge:
         row = payload["rows"][0]
         assert row["N"] == 100 and row["K"] == 10
         assert set(row) == {"N", "K", "p", "tv_distance", "max_pointwise_error", "at_n"}
+
+    def test_benchmark_rows_pinned(self, runner):
+        result = run(runner, "converge", "--p-num", "1", "--p-den", "10000",
+                     "--ns", "1000000,10000000")
+        assert result.exit_code == 0
+        assert result.output.splitlines()[1:] == [
+            "1000000,100,0.0001,0.0027156223730743678,2.3164523453904839e-07,5874",
+            "10000000,1000,0.0001,0.00027074728172497825,2.3068542289746531e-08,5860",
+        ]
 
 
 class TestCheck:

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from urndist import (
@@ -15,6 +16,8 @@ from urndist import (
     pmf_table,
     tv_distance,
 )
+from urndist import _kernels
+from urndist.convergence import _tv_stats
 
 
 class TestGeometricPmf:
@@ -129,3 +132,52 @@ class TestPointwiseLimit:
         # both laws put exactly good/total = p on n = 1
         for total in (100, 1000, 10000):
             assert pmf_float(UrnParams(total, total // 10), 1) == 0.1
+
+
+def _full_scan(total, good):
+    """Reference: every n of the support, fsum of |urn - geom|, plus q^size."""
+    size = total - good + 1
+    p = good / total
+    q = 1.0 - p
+    urn = _kernels.pmf_float_range(total, good, 1, size)
+    geom = np.power(q, np.arange(size, dtype=np.float64)) * p
+    diff = np.abs(urn - geom)
+    i = int(diff.argmax())
+    tv = 0.5 * (math.fsum(diff.tolist()) + q**size)
+    return min(1.0, tv), float(diff[i]), i + 1
+
+
+class TestBoundedScan:
+    @pytest.mark.parametrize(
+        "total,good",
+        [
+            # the stop fires before the end of the support
+            (123457, 1234),
+            (200000, 200),
+            (1000000, 100),
+            # the scan reaches the end of the support
+            (100000, 10),
+            (1000000, 1),
+            (1000000, 3),
+            (2000, 1000),
+            (2, 1),
+        ],
+    )
+    def test_matches_full_scan(self, total, good):
+        tv, max_err, at_n = _tv_stats(UrnParams(total, good))
+        ref_tv, ref_err, ref_at = _full_scan(total, good)
+        assert (max_err, at_n) == (ref_err, ref_at)
+        assert abs(tv - ref_tv) <= 2 * math.ulp(ref_tv)
+
+    def test_stop_bounds_the_work(self, monkeypatch):
+        points = []
+        real = _kernels.pmf_float_range
+
+        def counting(total, good, n_start, count):
+            points.append(count)
+            return real(total, good, n_start, count)
+
+        monkeypatch.setattr(_kernels, "pmf_float_range", counting)
+        _tv_stats(UrnParams(10**7, 1000))
+        # a scan to the geometric underflow point would take 7,999,602
+        assert sum(points) <= 1 << 20

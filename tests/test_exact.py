@@ -196,6 +196,23 @@ class TestMedian:
                 )
                 assert median(params) == by_scan
 
+    def test_matches_linear_scan(self):
+        # oracle: step m one at a time until 2 C(total-m, good) <= C(total, good)
+        for total in range(1, 81):
+            for good in range(1, total + 1):
+                full = binomial(total, good)
+                m = 1
+                while 2 * binomial(total - m, good) > full:
+                    m += 1
+                assert median(UrnParams(total, good)) == m
+
+    @pytest.mark.parametrize(
+        "total,good,expected",
+        [(10**7, 1, 5000000), (10**7, 2, 2928933), (10**6, 3, 206300)],
+    )
+    def test_large_urns(self, total, good, expected):
+        assert median(UrnParams(total, good)) == expected
+
 
 class TestMode:
     def test_several_good(self):
