@@ -14,12 +14,23 @@ kernels are counter-based (see :mod:`urndist.rng`), so both backends emit
 bit-identical sample streams.  The mass-function kernel has one
 implementation, built on ``floats.log_fail_block``; both backends serve it.
 
+The numpy urn walk advances every live draw ("lane") one step per pass.
+It never forms the uniform: u = (w >> 11) * 2^-53 < p holds exactly when
+the mixed word w is below ceil(p * 2^53) << 11 (for p < 1; at p = 1, the
+last step, every lane hits), so each step is the SplitMix64 mix and one
+integer compare, written into preallocated buffers.  A step runs over
+blocks of 2^15 lanes, so that its scratch buffers stay in cache.  Lanes
+that finish stay in the arrays, their later hits ignored, and the arrays
+are compacted only once 1/8 of the live lanes are done.  None of this
+changes a variate.
+
 ``benchmarks/bench_backends.py`` times the two implementations side by
 side.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 
@@ -46,15 +57,36 @@ _U27 = np.uint64(27)
 _U31 = np.uint64(31)
 _U11 = np.uint64(11)
 _U1 = np.uint64(1)
+# the urn walk compacts its lanes once 1/_COMPACT_EVERY of them are done,
+# and mixes them in blocks of _LANE_BLOCK whose buffers stay in cache
+_COMPACT_EVERY = 8
+_LANE_BLOCK = 1 << 15
 
 # ---------------------------------------------------------------------------
 # numpy implementations
 # ---------------------------------------------------------------------------
 
-def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _U30)) * _MUL1_U
-    z = (z ^ (z >> _U27)) * _MUL2_U
-    return z ^ (z >> _U31)
+def _mix64_np(z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 finalizer over ``z`` in place, returning ``z``; ``t`` is
+    scratch space of the same shape, allocated when not given."""
+    t = np.empty_like(z) if t is None else t
+    for shift, mul in ((_U30, _MUL1_U), (_U27, _MUL2_U)):
+        np.right_shift(z, shift, out=t)
+        np.bitwise_xor(z, t, out=z)
+        np.multiply(z, mul, out=z)
+    np.right_shift(z, _U31, out=t)
+    np.bitwise_xor(z, t, out=z)
+    return z
+
+
+def _hit_threshold(p: float) -> int:
+    """Word threshold of the urn walk's hit test, for 0 <= p < 1.
+
+    u = (w >> 11) * 2^-53 and p * 2^53 are exact, so u < p exactly when
+    w >> 11 < ceil(p * 2^53), that is when w < ceil(p * 2^53) << 11, which
+    is below 2^64 because p <= 1 - 2^-53.
+    """
+    return math.ceil(p / U53) << 11  # p / 2^-53 = p * 2^53, exactly
 
 
 def _draw_roots_np(seed: int, draw0: int, count: int) -> np.ndarray:
@@ -67,25 +99,56 @@ def _uniform_block_numpy(seed: int, draw0: int, count: int) -> np.ndarray:
     return (words >> _U11).astype(np.float64) * U53
 
 
+def _lane_blocks(roots: np.ndarray, hit: np.ndarray, z: np.ndarray, t: np.ndarray):
+    # per block of _LANE_BLOCK lanes: its roots and hit flags, and views of
+    # the scratch buffers z and t that every block shares
+    blocks = []
+    for lo in range(0, roots.size, _LANE_BLOCK):
+        n = min(_LANE_BLOCK, roots.size - lo)
+        blocks.append((roots[lo : lo + n], hit[lo : lo + n], z[:n], t[:n]))
+    return blocks
+
+
 def _urn_walk_batch_numpy(
     total: int, good: int, seed: int, draw0: int, count: int
 ) -> np.ndarray:
-    out = np.zeros(count, dtype=np.int64)
-    alive = np.arange(count, dtype=np.int64)
+    out = np.empty(count, dtype=np.int64)
     roots = _draw_roots_np(seed, draw0, count)
+    lanes = np.arange(count)  # out index of each live lane
+    hit, done = np.empty(count, dtype=bool), np.zeros(count, dtype=bool)
+    z = np.empty(min(count, _LANE_BLOCK), dtype=np.uint64)
+    t = np.empty_like(z)
+    blocks = _lane_blocks(roots, hit, z, t)
+    finished = 0
     step = 1
-    while alive.size:
+    while True:
         p_step = good / (total - step + 1)
+        if p_step >= 1.0:  # the last step, or a step whose p rounds to 1
+            out[lanes[~done]] = step
+            return out
+        thr = np.uint64(_hit_threshold(p_step))
         # fold the step offset in python ints: numpy scalar uint64 would warn
         offset = np.uint64((step * GOLDEN_GAMMA) & MASK64)
-        words = _mix64_np(roots + offset)
-        u = (words >> _U11).astype(np.float64) * U53
-        hit = u < p_step
-        out[alive[hit]] = step
-        roots = roots[~hit]
-        alive = alive[~hit]
-        step += 1  # at step == total-good+1, p_step == 1.0 and everything hits
-    return out
+        for roots_b, hit_b, z_b, t_b in blocks:
+            np.add(roots_b, offset, out=z_b)
+            np.less(_mix64_np(z_b, t_b), thr, out=hit_b)
+        idx = np.flatnonzero(hit)
+        if idx.size:
+            if finished:
+                idx = idx[~done[idx]]
+            out[lanes[idx]] = step
+            done[idx] = True
+            finished += idx.size
+            if finished * _COMPACT_EVERY >= lanes.size:
+                keep = ~done
+                roots, lanes = roots[keep], lanes[keep]
+                if not lanes.size:
+                    return out
+                hit, done = hit[: lanes.size], done[: lanes.size]
+                done[:] = False
+                blocks = _lane_blocks(roots, hit, z, t)
+                finished = 0
+        step += 1
 
 
 def _inverse_cdf_table_batch_numpy(

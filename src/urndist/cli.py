@@ -10,6 +10,7 @@ always wins); URN_BACKEND picks the numeric backend.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -30,6 +31,15 @@ __all__ = ["cli", "main"]
 
 _TABLE_ROWS_LIMIT = 10**6
 _ECHO_CHUNK = 8192
+# Largest expected urn-walk work, in lane-steps (one mixed word for one draw
+# at one step), that `sample --method urn` accepts.  On a 2-core Xeon the
+# largest accepted calls took 11 s extrapolated from 1M draws at (1e4, 40),
+# 11 s for 1 draw at good = 1 (17 s if that draw walks the whole support) and
+# 28 s for 2500 draws at good = 40, where the longest walk sets the steps.
+_WALK_WORK_LIMIT = 2 * 10**9
+# The kernel's fixed cost per step in lane-steps: 8-10.5 us per step of a
+# walk with 1 to 64 lanes against 3.8-4.0 ns per lane-step with 250k lanes.
+_WALK_STEP_LANES = 2500
 
 
 def _frac(value: Fraction) -> str:
@@ -79,6 +89,20 @@ def _require_printable(total: int, good: int) -> None:
         raise ResourceGuardError(
             f"C({total}, {good}) has more than {limit} decimal digits, the "
             f"integer-to-string limit, so the exact table cannot be written"
+        )
+
+
+def _require_walk_budget(total: int, good: int, count: int) -> None:
+    """Refuse an urn walk whose expected work exceeds ``_WALK_WORK_LIMIT``.
+
+    The walk takes (total+1)/(good+1) steps per draw on average, the mean
+    of X, and pays a fixed cost per step as if ``_WALK_STEP_LANES`` more
+    draws were walking.
+    """
+    if (count + _WALK_STEP_LANES) * (total + 1) > _WALK_WORK_LIMIT * (good + 1):
+        raise ResourceGuardError(
+            f"{count} urn walks of mean length (n+1)/(k+1) exceed the work "
+            f"limit of {_WALK_WORK_LIMIT:.3g} lane-steps; use --method inverse"
         )
 
 
@@ -233,16 +257,24 @@ def cmd_sample(
     seed = _resolve_seed(seed)
     state = SamplerState(seed=seed)
     if method == "urn":
+        _require_walk_budget(total, good, count)
         values = sample_urn_walk_batch(params, state, count)
     else:
         values = sample_inverse_cdf_batch(params, state, count)
     if fmt == "json":
         _emit_json(
             {"n": total, "k": good, "count": count, "seed": seed, "method": method},
-            [int(v) for v in values],
+            values.tolist(),
         )
     else:
-        _emit_csv("value", (str(int(v)) for v in values))
+        # one tolist() per write chunk: no Python int per value held at once
+        _emit_csv(
+            "value",
+            itertools.chain.from_iterable(
+                map(str, values[lo : lo + _ECHO_CHUNK].tolist())
+                for lo in range(0, values.size, _ECHO_CHUNK)
+            ),
+        )
 
 
 @cli.command("converge")

@@ -16,7 +16,12 @@ numba - produces bit-identical uniforms, which is what makes the sampling
 backends interchangeable and the sample streams reproducible across
 platforms.
 
-Uniforms take the top 53 bits of the mixed word, giving doubles in [0, 1).
+Uniforms take the top 53 bits of the mixed word, giving doubles in [0, 1):
+u = (word >> 11) * 2^-53, with no rounding.  Since p * 2^53 is exact too, a
+test u < p with p < 1 is the integer test word < ceil(p * 2^53) << 11; the
+urn-walk kernel compares raw words this way, and finished draws' words are
+still computed until the kernel compacts its arrays, which moves no draw
+onto another substream.
 """
 
 from __future__ import annotations

@@ -1,17 +1,20 @@
 """End-to-end CLI contract: flags, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
 
 import urndist
 from urndist import checks
+from urndist import cli as cli_mod
 from urndist.checks import FamilyResult
-from urndist.cli import _require_printable, cli
+from urndist.cli import _require_printable, _require_walk_budget, cli
 from urndist.errors import ResourceGuardError
 
 
@@ -178,6 +181,48 @@ class TestSample:
         assert payload["params"]["seed"] == 11
         assert len(payload["rows"]) == 5
         assert all(isinstance(v, int) for v in payload["rows"])
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("csv", "ffc61366e693936bd229e40c0b1f364c7584ef3110ec8edeaa946ea1c242c84f"),
+            ("json", "9a9f2b7d6d7006a2cb819c5d23c95797a0dc49aec0bb328c46fb4fb3d80e1ee7"),
+        ],
+    )
+    def test_urn_walk_stream_pinned(self, runner, fmt, digest):
+        result = run(runner, "sample", "--n", "10000", "--k", "40", "--count", "20000",
+                     "--method", "urn", "--seed", "7", "--format", fmt)
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_walk_work_guard_exit_3(self, fmt):
+        root = os.path.dirname(os.path.dirname(urndist.__file__))
+        start = time.perf_counter()
+        out = subprocess.run(
+            [sys.executable, "-m", "urndist.cli", "sample", "--n", "1000000000000",
+             "--k", "1", "--count", "3", "--method", "urn", "--format", fmt],
+            env=dict(os.environ, PYTHONPATH=root),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert time.perf_counter() - start < 2.0
+        assert out.returncode == 3
+        assert out.stdout == ""
+        assert "Traceback" not in out.stderr
+        assert len(out.stderr.splitlines()) == 1
+        assert "--method inverse" in out.stderr
+
+    def test_walk_work_guard_limit(self):
+        # ten times the sample-walk benchmark workload still passes
+        _require_walk_budget(10000, 40, 10 * 250000)
+        # (count + _WALK_STEP_LANES) * (total+1)/(good+1) <= _WALK_WORK_LIMIT
+        # is the rule, exact at its boundary
+        total = 2 * cli_mod._WALK_WORK_LIMIT // (1 + cli_mod._WALK_STEP_LANES) - 1
+        _require_walk_budget(total, 1, 1)
+        with pytest.raises(ResourceGuardError):
+            _require_walk_budget(total + 1, 1, 1)
 
 
 class TestConverge:

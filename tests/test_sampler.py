@@ -21,7 +21,7 @@ from urndist import (
 )
 from urndist import _kernels, sampler
 from urndist.floats import LOG_FAIL_BLOCK
-from urndist.rng import draw_root, step_uniform
+from urndist.rng import U53, draw_root, step_uniform
 from urndist.sampler import _cdf_table
 
 
@@ -52,6 +52,46 @@ class TestUrnWalk:
         a = _kernels.IMPLEMENTATIONS["numba"]["urn_walk_batch"](37, 5, 99, 0, 40000)
         b = _kernels.IMPLEMENTATIONS["numpy"]["urn_walk_batch"](37, 5, 99, 0, 40000)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "total, good, seed, draw0, count",
+        [
+            (37, 5, 99, 0, 2**15 + 4321),  # two lane blocks, compaction
+            (12, 2, 2**63 + 12345, 7, 20000),  # reaches the p = 1 last step
+            (5, 5, 3, 11, 50),  # good == total: every draw is 1
+            (50, 1, 2**64 - 1, 2**40, 3000),  # good = 1: uniform on 1..50
+            (2**54 + 3, 2**53, 8, 1, 2000),  # total > 2^53, p near 1/2
+            (2**60, 2**60 - 7, 8, 0, 100),  # p rounds to 1 at step 1
+        ],
+    )
+    def test_numpy_kernel_matches_reference_walk(
+        self, total, good, seed, draw0, count
+    ):
+        got = _kernels.IMPLEMENTATIONS["numpy"]["urn_walk_batch"](
+            total, good, seed, draw0, count
+        )
+        want = [reference_urn_walk(total, good, seed, draw0 + t) for t in range(count)]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("compact_every", [1, 2, 10**6])
+    def test_compaction_rule_does_not_change_stream(self, monkeypatch, compact_every):
+        # 1 keeps finished lanes to the last step; 10**6 compacts on any hit
+        want = _kernels.urn_walk_batch(12, 2, 5, 0, 20000)
+        monkeypatch.setattr(_kernels, "_COMPACT_EVERY", compact_every)
+        assert np.array_equal(_kernels.urn_walk_batch(12, 2, 5, 0, 20000), want)
+
+    def test_walk_reaches_the_certain_last_step(self):
+        got = _kernels.urn_walk_batch(12, 2, 2**63 + 12345, 7, 20000)
+        assert got.max() == 11
+
+    @pytest.mark.parametrize("p", [2.0**-70, 0.3, 1.0 - 2.0**-53])
+    def test_hit_threshold_is_exact(self, p):
+        thr = _kernels._hit_threshold(p)
+        assert 0 < thr < 2**64
+        assert ((thr - 1) >> 11) * U53 < p
+        assert not (thr >> 11) * U53 < p
+        words = np.array([thr - 1, thr], dtype=np.uint64)
+        assert (words < np.uint64(thr)).tolist() == [True, False]
 
     def test_two_outcomes_balanced(self):
         state = SamplerState(seed=2718)
