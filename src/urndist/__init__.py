@@ -6,7 +6,6 @@ samplers, convergence diagnostics against the geometric limit, and
 brute-force oracles for self-verification.
 """
 
-from ._kernels import active_backend, available_backends
 from .convergence import (
     ConvergenceRecord,
     convergence_table,
@@ -54,8 +53,6 @@ __all__ = [
     "SamplerState",
     "UrnError",
     "UrnParams",
-    "active_backend",
-    "available_backends",
     "binomial",
     "cdf",
     "cdf_float",

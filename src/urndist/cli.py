@@ -4,7 +4,7 @@ and self-checks, as CSV or JSON on stdout.
 Exit codes: 0 success, 2 usage or validation error, 3 resource guard
 tripped, 4 self-check failure.  Diagnostics go to stderr.  The environment
 variable URN_SEED supplies a default sampling seed (an explicit --seed
-always wins); URN_BACKEND picks the numeric backend.
+always wins).
 """
 
 from __future__ import annotations
@@ -56,8 +56,11 @@ def _emit_json(params_obj: dict, rows: list) -> None:
 
 
 def _emit_csv(header: str, lines) -> None:
+    # the header goes out with the first row, so that a command that fails
+    # on its first row leaves stdout empty
     out = sys.stdout
-    out.write(header + "\n")
+    lines = iter(lines)
+    out.write("\n".join([header, *itertools.islice(lines, 1)]) + "\n")
     chunk: list[str] = []
     for line in lines:
         chunk.append(line)

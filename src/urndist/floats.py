@@ -1,8 +1,10 @@
 """Floating-point evaluation layer for parameters beyond exact-arithmetic comfort.
 
 Mirrors the closed forms of :mod:`urndist.exact` in IEEE doubles so that
-tables, tail probabilities and convergence studies stay cheap for totals up
-to around 10^9.  Log-probabilities are represented as plain floats (<= 0,
+tables, tail probabilities and convergence studies stay cheap however large
+the urn.  The domain is total < 2^511 (``TOTAL_LIMIT``); other totals
+raise ``ParameterError``.  The bounds below are verified for totals up to
+2^53 + 12345.  Log-probabilities are represented as plain floats (<= 0,
 with -inf standing for probability zero); exp(-inf) == 0.0 makes the
 out-of-support cases fall out naturally.
 
@@ -92,9 +94,20 @@ def _stirlerr(n: int) -> float:
     return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / nn) / nn) / nn) / nn) / n
 
 
+# Totals from here on are refused: the Stirling series divides by n*n, which
+# no longer converts to a double once n nears 2^512.
+TOTAL_LIMIT = 1 << 511
+
+
 @functools.lru_cache(maxsize=64)
 def _fail_constants(total: int, good: int) -> tuple[float, float]:
-    # the two terms of _log_fail that depend on the urn alone
+    # the two terms of _log_fail that depend on the urn alone; every
+    # log-fail evaluation passes through here, so it holds the domain check
+    if total >= TOTAL_LIMIT:
+        raise ParameterError(
+            f"floating-point evaluation needs total < 2^511, got a total of "
+            f"{total.bit_length()} bits"
+        )
     bad = total - good
     st_const = _stirlerr(bad) - _stirlerr(total)
     if good + good < total:

@@ -11,10 +11,10 @@ that to index uniforms by a pair of counters,
     root(seed, draw) = mix64(seed + (draw+1) * GOLDEN_GAMMA),
 
 i.e. every draw owns a substream seeded by one output of the master
-stream.  Any evaluation order - scalar loop, vectorized numpy, jitted
-numba - produces bit-identical uniforms, which is what makes the sampling
-backends interchangeable and the sample streams reproducible across
-platforms.
+stream.  Any evaluation order - a scalar loop here or the vectorized
+numpy kernels of :mod:`urndist._kernels` - produces bit-identical
+uniforms, which is what makes the sample streams independent of batch
+sizes and reproducible across platforms.
 
 Uniforms take the top 53 bits of the mixed word, giving doubles in [0, 1):
 u = (word >> 11) * 2^-53, with no rounding.  Since p * 2^53 is exact too, a

@@ -8,8 +8,8 @@ cross-checks of each other and of the closed forms.
 
 Both consume one substream per variate from the counter-based generator in
 :mod:`urndist.rng`, so results depend only on (seed, draw_index, method) -
-not on batch sizes, backend choice, or platform.  A ``SamplerState`` is
-single-owner: it mutates as draws are consumed.  Use
+not on batch sizes or platform.  A ``SamplerState`` is single-owner: it
+mutates as draws are consumed.  Use
 :meth:`urndist.rng.SamplerState.spawn` to fan out to parallel workers.
 """
 

@@ -1,8 +1,11 @@
 """End-to-end CLI contract: flags, formats, exit codes, determinism."""
 
+import ast
 import hashlib
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -323,6 +326,46 @@ class TestImport:
             check=True,
         )
         assert out.stdout.strip() == "[]"
+
+    def test_declared_dependencies_are_the_imported_ones(self):
+        # every third-party package the runtime imports is declared in
+        # pyproject.toml, and every declared one is imported
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        root = pathlib.Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as fh:
+            declared = {
+                re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
+                for dep in tomllib.load(fh)["project"]["dependencies"]
+            }
+        imported = set()
+        for path in (root / "src" / "urndist").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported.update(a.name.split(".")[0] for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    imported.add(node.module.split(".")[0])
+        third_party = imported - set(sys.stdlib_module_names) - {"__future__"}
+        assert declared == third_party == {"numpy", "click"}
+
+
+class TestFloatDomain:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("table", "--n", str(10**160), "--k", str(10**160 - 5)),
+            ("sample", "--n", str(10**160), "--k", "3", "--count", "3",
+             "--method", "inverse"),
+            ("converge", "--p-num", "1", "--p-den", "2", "--ns", str(2 * 10**400)),
+        ],
+        ids=["table", "sample-inverse", "converge"],
+    )
+    def test_totals_past_the_float_domain_exit_2(self, runner, args):
+        result = run(runner, *args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+        assert "2^511" in result.stderr
 
 
 class TestOutputHygiene:

@@ -20,6 +20,7 @@ from urndist import (
     variance,
     variance_float,
 )
+from urndist import floats
 
 BIG = UrnParams(total=10**9, good=10**6)
 
@@ -133,6 +134,37 @@ class TestCdfFloat:
             params = UrnParams(10**9, good)
             head = [cdf_float(params, n) for n in range(0, 3000)]
             assert all(a <= b for a, b in zip(head, head[1:]))
+
+
+class TestDomain:
+    # below 2^511 every term of the saddle-point form converts to a double
+    @pytest.mark.parametrize(
+        "good", [1, 3, 2**510, 2**511 - 6], ids=["1", "3", "2^510", "2^511-6"]
+    )
+    def test_finite_below_the_limit(self, good):
+        total = floats.TOTAL_LIMIT - 1
+        params = UrnParams(total, good)
+        assert math.isfinite(log_fail(params, 1))
+        assert math.isfinite(log_fail(params, total - good))
+        assert all(map(math.isfinite, floats.log_fail_block(total, good, 1, 5)))
+        last = floats.log_fail_block(total, good, total - good - 4, 5)
+        assert all(map(math.isfinite, last))
+
+    @pytest.mark.parametrize(
+        "total", [2**511, 2**512 - 1, 10**400], ids=["2^511", "2^512-1", "10^400"]
+    )
+    def test_refused_from_the_limit(self, total):
+        params = UrnParams(total, 3)
+        with pytest.raises(ParameterError, match="2\\^511"):
+            log_fail(params, 1)
+        with pytest.raises(ParameterError):
+            cdf_float(params, 2)
+        with pytest.raises(ParameterError):
+            pmf_float(params, 2)
+        with pytest.raises(ParameterError):
+            floats.log_fail_block(total, 3, 1, 5)
+        with pytest.raises(ParameterError):
+            floats.log_fail_block(total, total - 4, 4, 1)  # the m = bad route
 
 
 class TestMomentFloats:

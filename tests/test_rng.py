@@ -1,11 +1,7 @@
-"""Generator correctness: reference vectors, counter identity, backend parity."""
-
-import os
+"""Generator correctness: reference vectors, counter identity, kernel parity."""
 
 import numpy as np
-import pytest
 
-import urndist
 from urndist import _kernels
 from urndist.rng import (
     GOLDEN_GAMMA,
@@ -16,10 +12,6 @@ from urndist.rng import (
     splitmix64_next,
     step_uniform,
 )
-
-# Directory holding the imported urndist package, so that a child
-# interpreter started with a minimal environment imports the same code.
-_PACKAGE_ROOT = os.path.dirname(os.path.dirname(urndist.__file__))
 
 # First five outputs of the reference SplitMix64 generator seeded with 0,
 # as published with Vigna's C implementation.
@@ -64,10 +56,11 @@ class TestUniforms:
         assert all((v * (1 << 53)) == int(v * (1 << 53)) for v in values[:100])
 
     def test_uniform_block_matches_scalar(self):
-        for backend, impls in _kernels.IMPLEMENTATIONS.items():
-            block = impls["uniform_block"](99, 17, 64)
-            scalar = [step_uniform(draw_root(99, 17 + t), 0) for t in range(64)]
-            assert block.tolist() == scalar, backend
+        # 2^64 - 1: the block's draw indices wrap mod 2^64, as draw_root's do
+        for draw0 in (17, 2**64 - 1):
+            block = _kernels.uniform_block(99, draw0, 64)
+            scalar = [step_uniform(draw_root(99, draw0 + t), 0) for t in range(64)]
+            assert block.tolist() == scalar, draw0
 
     def test_rough_uniformity(self):
         values = [step_uniform(draw_root(2024, d), 0) for d in range(20000)]
@@ -100,53 +93,3 @@ class TestSamplerState:
         parent_u = [step_uniform(draw_root(parent.seed, d), 0) for d in range(16)]
         child_u = [step_uniform(draw_root(child.seed, d), 0) for d in range(16)]
         assert parent_u != child_u
-
-
-class TestBackendSelection:
-    def test_active_backend_is_available(self):
-        assert _kernels.active_backend() in _kernels.available_backends()
-
-    def test_numpy_always_available(self):
-        assert "numpy" in _kernels.available_backends()
-
-    def test_env_flag_selects_numpy(self):
-        import subprocess
-        import sys
-
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from urndist import active_backend; print(active_backend())",
-            ],
-            env={
-                "PATH": "/usr/bin:/bin",
-                "PYTHONPATH": _PACKAGE_ROOT,
-                "URN_BACKEND": "numpy",
-            },
-            capture_output=True,
-            text=True,
-        )
-        assert out.stdout.strip() == "numpy"
-
-    def test_env_flag_bad_value_warns_and_falls_back(self):
-        import subprocess
-        import sys
-
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import warnings; warnings.simplefilter('always');"
-                "from urndist import active_backend; print(active_backend())",
-            ],
-            env={
-                "PATH": "/usr/bin:/bin",
-                "PYTHONPATH": _PACKAGE_ROOT,
-                "URN_BACKEND": "fortran",
-            },
-            capture_output=True,
-            text=True,
-        )
-        assert out.stdout.strip() in ("numba", "numpy")
-        assert "URN_BACKEND" in out.stderr
