@@ -19,11 +19,22 @@ from fractions import Fraction
 
 import click
 
+from . import _kernels
 from . import checks as checks_mod
 from .convergence import convergence_table
 from .errors import ParameterError, ResourceGuardError, UrnError
-from .exact import UrnParams, mean, median, mode, pmf_table, support, variance
-from .floats import cdf_float, pmf_float
+from .exact import (
+    UrnParams,
+    binomial,
+    binomial_numerators,
+    mean,
+    median,
+    mode,
+    pmf_table,  # noqa: F401  unused here; perfbench/layers.py probes cli.pmf_table
+    support,
+    variance,
+)
+from .floats import cdf_blocks
 from .rng import SamplerState
 from .sampler import sample_inverse_cdf_batch, sample_urn_walk_batch
 
@@ -50,9 +61,22 @@ def _f17(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _emit_json(params_obj: dict, rows: list) -> None:
-    payload = {"schema_version": 1, "params": params_obj, "rows": rows}
-    click.echo(json.dumps(payload, indent=2))
+def _emit_json(params_obj: dict, rows) -> None:
+    """Write {"schema_version": 1, "params": ..., "rows": [...]} in the bytes
+    of json.dumps(payload, indent=2) and a newline, taking the rows from an
+    iterable one chunk at a time; nothing is written before the first chunk."""
+    head = json.dumps({"schema_version": 1, "params": params_obj, "rows": []}, indent=2)
+    head = head[: -len("[]\n}")]
+    out = sys.stdout
+    rows = iter(rows)
+    opening = "["
+    while chunk := list(itertools.islice(rows, _ECHO_CHUNK)):
+        # the chunk's list without its brackets, one level deeper
+        body = json.dumps(chunk, indent=2)[1:-2].replace("\n", "\n  ")
+        out.write(head + opening + body)
+        head, opening = "", ","
+    out.write(head + ("[]" if opening == "[" else "\n  ]") + "\n}\n")
+    out.flush()
 
 
 def _emit_csv(header: str, lines) -> None:
@@ -109,6 +133,23 @@ def _require_walk_budget(total: int, good: int, count: int) -> None:
         )
 
 
+def _table_rows(params: UrnParams):
+    # (n, pmf_exact, pmf_float, cdf_exact, cdf_float) for n = 1..support:
+    # P(n) = A/D and cdf(n) = (D - B)/D with (A, B) from binomial_numerators
+    total, good = params.total, params.good
+    full = binomial(total, good)
+    numerators = binomial_numerators(params)
+    for n0, cdf in cdf_blocks(params):
+        pmf = _kernels.pmf_float_range(total, good, n0, cdf.size)
+        # the block's lists come first in zip, so that the end of a block
+        # takes no numerator pair from the next one
+        for pf, cf, (a, b), n in zip(
+            pmf.tolist(), cdf.tolist(), numerators, itertools.count(n0)
+        ):
+            ga, gb = math.gcd(a, full), math.gcd(b, full)
+            yield n, f"{a // ga}/{full // ga}", pf, f"{(full - b) // gb}/{full // gb}", cf
+
+
 def _guarded(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -158,7 +199,13 @@ def cli() -> None:
 @_format_option
 @_guarded
 def cmd_table(total: int, good: int, fmt: str) -> None:
-    """Full distribution table: one row per support point."""
+    """Full distribution table: one row per support point.
+
+    Rows are written as they are made.  The exact columns are integer
+    numerators over C(total, good), stepped row by row and reduced by one
+    gcd each; the float columns come a block of support points at a time
+    from the vector pmf kernel and the cdf blocks of the float layer.
+    """
     params = UrnParams(total=total, good=good)
     if params.support_size > _TABLE_ROWS_LIMIT:
         raise ResourceGuardError(
@@ -166,35 +213,19 @@ def cmd_table(total: int, good: int, fmt: str) -> None:
             f"of {_TABLE_ROWS_LIMIT} rows"
         )
     _require_printable(total, good)
-    table = pmf_table(params)
-
-    def rows():
-        prefix = Fraction(0)
-        for n, p_exact in enumerate(table.probabilities, start=1):
-            prefix += p_exact
-            yield n, p_exact, pmf_float(params, n), prefix, cdf_float(params, n)
-
+    rows = _table_rows(params)
     if fmt == "json":
         _emit_json(
             {"n": total, "k": good},
-            [
-                {
-                    "n": n,
-                    "pmf_exact": _frac(pe),
-                    "pmf_float": pf,
-                    "cdf_exact": _frac(ce),
-                    "cdf_float": cf,
-                }
-                for n, pe, pf, ce, cf in rows()
-            ],
+            (
+                {"n": n, "pmf_exact": pe, "pmf_float": pf, "cdf_exact": ce, "cdf_float": cf}
+                for n, pe, pf, ce, cf in rows
+            ),
         )
     else:
         _emit_csv(
             "n,pmf_exact,pmf_float,cdf_exact,cdf_float",
-            (
-                f"{n},{_frac(pe)},{_f17(pf)},{_frac(ce)},{_f17(cf)}"
-                for n, pe, pf, ce, cf in rows()
-            ),
+            (f"{n},{pe},{pf:.17g},{ce},{cf:.17g}" for n, pe, pf, ce, cf in rows),
         )
 
 
@@ -264,20 +295,17 @@ def cmd_sample(
         values = sample_urn_walk_batch(params, state, count)
     else:
         values = sample_inverse_cdf_batch(params, state, count)
+    # one tolist() per write chunk: no Python int per value held at once
+    ints = itertools.chain.from_iterable(
+        values[lo : lo + _ECHO_CHUNK].tolist() for lo in range(0, values.size, _ECHO_CHUNK)
+    )
     if fmt == "json":
         _emit_json(
             {"n": total, "k": good, "count": count, "seed": seed, "method": method},
-            values.tolist(),
+            ints,
         )
     else:
-        # one tolist() per write chunk: no Python int per value held at once
-        _emit_csv(
-            "value",
-            itertools.chain.from_iterable(
-                map(str, values[lo : lo + _ECHO_CHUNK].tolist())
-                for lo in range(0, values.size, _ECHO_CHUNK)
-            ),
-        )
+        _emit_csv("value", map(str, ints))
 
 
 @cli.command("converge")

@@ -10,13 +10,19 @@ index of the first draw that yields a good object.  X is supported on
 
 where Fail(n) = C(total-n, good) / C(total, good) is the probability that
 the first n draws all miss.  Everything in this module is computed with
-arbitrary-precision rationals (``fractions.Fraction``), so equality means
+exact integers and rationals (``fractions.Fraction``), so equality means
 mathematical equality: there are no tolerances anywhere in this layer.
+
+Whole tables come from ``binomial_numerators``: the integer numerators
+C(total-n, good-1) and C(total-n, good) of P(n) and Fail(n) over the one
+denominator C(total, good), stepped along the support by the exact integer
+recurrence C(a-1, k) = C(a, k) (a-k) / a.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,6 +41,7 @@ __all__ = [
     "mode",
     "support",
     "pmf_table",
+    "binomial_numerators",
     "sum_binom_closed",
     "sum_binom_from_closed",
     "sum_j_binom_closed",
@@ -225,17 +232,35 @@ class PmfTable:
         return second - m * m
 
 
+def binomial_numerators(params: UrnParams) -> Iterator[tuple[int, int]]:
+    """(C(total-n, good-1), C(total-n, good)) for n = 1..total-good+1.
+
+    Over D = C(total, good) these are P(n) and Fail(n), so cdf(n) is
+    (D - second) / D.  Both start from D (C(total-1, good-1) = D good/total
+    and C(total-1, good) = D (total-good)/total) and step by the exact
+    integer recurrence C(a-1, k) = C(a, k) (a-k) / a with a = total-n.
+    """
+    total, k = params.total, params.good
+    full = binomial(total, k)
+    pmf_num, fail_num = full * k // total, full * (total - k) // total
+    yield pmf_num, fail_num
+    for a in range(total - 1, k - 1, -1):
+        pmf_num = pmf_num * (a - k + 1) // a
+        fail_num = fail_num * (a - k) // a
+        yield pmf_num, fail_num
+
+
 def pmf_table(params: UrnParams) -> PmfTable:
     """Tabulate the exact mass function over the whole support.
 
-    Uses the ratio recurrence P(n+1) = P(n) (total-n+1-good) / (total-n),
-    one small rational multiplication per support point.
+    Each entry is C(total-n, good-1) / C(total, good), its numerator taken
+    from ``binomial_numerators``.
     """
-    n_total, k = params.total, params.good
-    probs = [Fraction(k, n_total)]
-    for n in range(1, params.support_size):
-        probs.append(probs[-1] * Fraction(n_total - n + 1 - k, n_total - n))
-    return PmfTable(params=params, probabilities=tuple(probs))
+    full = binomial(params.total, params.good)
+    return PmfTable(
+        params=params,
+        probabilities=tuple(Fraction(a, full) for a, _ in binomial_numerators(params)),
+    )
 
 
 def sum_binom_closed(k: int, n: int) -> int:

@@ -43,6 +43,7 @@ from .exact import UrnParams
 __all__ = [
     "log_fail",
     "log_fail_block",
+    "cdf_blocks",
     "pmf_float",
     "cdf_float",
     "mean_float",
@@ -217,6 +218,22 @@ def log_fail_block(total: int, good: int, m0: int, count: int) -> np.ndarray:
         + _stirlerr_block(total - m0, b)
     )
     return out
+
+
+def cdf_blocks(params: UrnParams):
+    """Yield (n0, cdf at n0..n0+len-1) over the whole support.
+
+    Blocks of LOG_FAIL_BLOCK points from n = 1, so every caller sees the
+    same values; -expm1 of ``log_fail_block``, and the last block ends in
+    exactly 1.0.
+    """
+    size = params.support_size
+    for n0 in range(1, size + 1, LOG_FAIL_BLOCK):
+        block = np.ones(min(LOG_FAIL_BLOCK, size + 1 - n0))
+        # log-fail needs n <= total-good; the cdf at n = total-good+1 is 1
+        lf = log_fail_block(params.total, params.good, n0, min(block.size, size - n0))
+        block[: lf.size] = -np.expm1(lf)
+        yield n0, block
 
 
 def _require_count(n: int) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels
 from .errors import ParameterError
 from .exact import UrnParams
-from .floats import LOG_FAIL_BLOCK, log_fail_block
+from .floats import cdf_blocks
 from .rng import SamplerState
 
 __all__ = [
@@ -57,18 +57,6 @@ def sample_urn_walk(params: UrnParams, state: SamplerState) -> int:
     return int(sample_urn_walk_batch(params, state, 1)[0])
 
 
-def _cdf_blocks(params: UrnParams):
-    # (n0, cdf at n0..n0+len-1) for the support in LOG_FAIL_BLOCK blocks from
-    # n = 1, the same for every caller; the last block ends in exactly 1.0
-    size = params.support_size
-    for n0 in range(1, size + 1, LOG_FAIL_BLOCK):
-        block = np.ones(min(LOG_FAIL_BLOCK, size + 1 - n0))
-        # log-fail needs n <= total-good; the cdf at n = total-good+1 is 1
-        lf = log_fail_block(params.total, params.good, n0, min(block.size, size - n0))
-        block[: lf.size] = -np.expm1(lf)
-        yield n0, block
-
-
 def _quantiles(params: UrnParams, u: np.ndarray) -> np.ndarray:
     # smallest n with cdf(n) > u, for each u: the sorted u are placed block
     # by block, and the scan stops at the block of the largest quantile
@@ -76,7 +64,7 @@ def _quantiles(params: UrnParams, u: np.ndarray) -> np.ndarray:
     sorted_u = u[order]
     out = np.empty(u.size, dtype=np.int64)
     lo = 0
-    for n0, block in _cdf_blocks(params):
+    for n0, block in cdf_blocks(params):
         hi = int(np.searchsorted(sorted_u, block[-1], side="left"))
         out[order[lo:hi]] = n0 + np.searchsorted(block, sorted_u[lo:hi], side="right")
         lo = hi
@@ -97,7 +85,7 @@ def inverse_cdf(params: UrnParams, u: float) -> int:
 
 
 def _cdf_table(params: UrnParams) -> np.ndarray:
-    return np.concatenate([block for _, block in _cdf_blocks(params)])
+    return np.concatenate([block for _, block in cdf_blocks(params)])
 
 
 def sample_inverse_cdf_batch(

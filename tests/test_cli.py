@@ -19,6 +19,8 @@ from urndist import cli as cli_mod
 from urndist.checks import FamilyResult
 from urndist.cli import _require_printable, _require_walk_budget, cli
 from urndist.errors import ResourceGuardError
+from urndist.exact import UrnParams
+from urndist.floats import cdf_float, pmf_float
 
 
 @pytest.fixture
@@ -54,6 +56,20 @@ class TestTable:
         assert len(payload["rows"]) == 8
         assert payload["rows"][0]["pmf_exact"] == "3/10"
         assert isinstance(payload["rows"][0]["pmf_float"], float)
+
+    @pytest.mark.parametrize("total, good", [(2, 2), (10, 3), (70000, 3)])
+    def test_json_is_json_dumps_of_the_csv_rows(self, runner, total, good):
+        # (70000, 3) spans three float blocks and nine JSON write chunks
+        csv_out = run(runner, "table", "--n", str(total), "--k", str(good)).output
+        rows = [
+            {"n": int(n), "pmf_exact": pe, "pmf_float": float(pf),
+             "cdf_exact": ce, "cdf_float": float(cf)}
+            for n, pe, pf, ce, cf in (line.split(",") for line in csv_out.splitlines()[1:])
+        ]
+        payload = {"schema_version": 1, "params": {"n": total, "k": good}, "rows": rows}
+        result = run(runner, "table", "--n", str(total), "--k", str(good), "--format", "json")
+        assert result.exit_code == 0
+        assert result.output == json.dumps(payload, indent=2) + "\n"
 
     def test_floats_have_17_significant_digits(self, runner):
         result = run(runner, "table", "--n", "3", "--k", "1")
@@ -97,6 +113,64 @@ class TestTable:
     def test_digit_limit_zero_means_unlimited(self, monkeypatch):
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
         _require_printable(20000, 10000)
+
+    @pytest.mark.parametrize(
+        "total, good, digest",
+        [
+            (50000, 10, "c95dd720a49b60468f03aa5f80c93dce140879b42b9f00b20d2fe75e6af184a7"),
+            (70000, 3, "3e9a04df1926ed8046aafe942a8430d4904677dc121eff0717ce8a645ce9b095"),
+        ],
+    )
+    def test_exact_columns_pinned(self, runner, total, good, digest):
+        # n, pmf_exact and cdf_exact, as `cut -d, -f1,2,4` prints them
+        result = run(runner, "table", "--n", str(total), "--k", str(good))
+        assert result.exit_code == 0
+        exact = "".join(
+            ",".join(line.split(",")[i] for i in (0, 1, 3)) + "\n"
+            for line in result.output.splitlines()
+        )
+        assert hashlib.sha256(exact.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("total, good", [(70000, 3), (2000, 37)])
+    def test_float_columns_match_scalar_floats(self, runner, total, good):
+        result = run(runner, "table", "--n", str(total), "--k", str(good))
+        rows = [line.split(",") for line in result.output.splitlines()[1:]]
+        params = UrnParams(total, good)
+        assert len(rows) == params.support_size
+        cdf_column = []
+        for n, row in enumerate(rows, start=1):
+            assert row[0] == str(n)
+            for got, want in ((float(row[2]), pmf_float(params, n)),
+                              (float(row[4]), cdf_float(params, n))):
+                if abs(want) >= sys.float_info.min:
+                    assert got == pytest.approx(want, rel=1e-12, abs=0), (n, got, want)
+            cdf_column.append(float(row[4]))
+        assert all(a <= b for a, b in zip(cdf_column, cdf_column[1:]))
+        assert cdf_column[-1] == 1.0
+
+    def test_memory_does_not_grow_with_support(self):
+        # the child's own peak RSS, read by a small launcher: a process
+        # spawned from the test process would inherit its peak across exec
+        root = os.path.dirname(os.path.dirname(urndist.__file__))
+        launcher = (
+            "import resource, subprocess, sys\n"
+            "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+
+        def peak_kb(total):
+            out = subprocess.run(
+                [sys.executable, "-S", "-c", launcher, sys.executable, "-m",
+                 "urndist.cli", "table", "--n", str(total), "--k", "2"],
+                env=dict(os.environ, PYTHONPATH=root),
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            return int(out.stdout)
+
+        assert peak_kb(300000) - peak_kb(100000) < 4 * 1024
 
 
 class TestStats:
@@ -255,6 +329,12 @@ class TestConverge:
         row = payload["rows"][0]
         assert row["N"] == 100 and row["K"] == 10
         assert set(row) == {"N", "K", "p", "tv_distance", "max_pointwise_error", "at_n"}
+
+    def test_json_bytes_are_json_dumps(self, runner):
+        result = run(runner, "converge", "--p-num", "1", "--p-den", "10",
+                     "--ns", "100,1000", "--format", "json")
+        assert result.exit_code == 0
+        assert json.dumps(json.loads(result.output), indent=2) + "\n" == result.output
 
     def test_benchmark_rows_pinned(self, runner):
         result = run(runner, "converge", "--p-num", "1", "--p-den", "10000",

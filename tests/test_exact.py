@@ -1,5 +1,6 @@
 """Exact-layer unit tests: every closed form against an independent route."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from urndist import (
     support,
     variance,
 )
+from urndist.exact import binomial_numerators
 
 
 class TestUrnParams:
@@ -279,6 +281,17 @@ class TestPmfTable:
         assert isinstance(table, PmfTable)
         with pytest.raises(AttributeError):
             table.probabilities = ()
+
+
+class TestBinomialNumerators:
+    def test_matches_math_comb(self):
+        for total in range(1, 41):
+            for good in range(1, total + 1):
+                got = list(binomial_numerators(UrnParams(total, good)))
+                assert got == [
+                    (math.comb(total - n, good - 1), math.comb(total - n, good))
+                    for n in range(1, total - good + 2)
+                ]
 
 
 class TestSumIdentities:

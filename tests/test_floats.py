@@ -135,6 +135,19 @@ class TestCdfFloat:
             head = [cdf_float(params, n) for n in range(0, 3000)]
             assert all(a <= b for a, b in zip(head, head[1:]))
 
+    def test_cdf_blocks_cover_the_support_on_the_block_grid(self):
+        for total, good in ((5, 5), (70000, 3), (2 * floats.LOG_FAIL_BLOCK + 1, 2)):
+            params = UrnParams(total, good)
+            blocks = list(floats.cdf_blocks(params))
+            assert [n0 for n0, _ in blocks] == list(
+                range(1, params.support_size + 1, floats.LOG_FAIL_BLOCK)
+            )
+            assert sum(block.size for _, block in blocks) == params.support_size
+            assert blocks[-1][1][-1] == 1.0
+            for n0, block in blocks:
+                for i in (0, block.size // 2, block.size - 1):
+                    assert block[i] == pytest.approx(cdf_float(params, n0 + i), rel=1e-12)
+
 
 class TestDomain:
     # below 2^511 every term of the saddle-point form converts to a double
