@@ -5,7 +5,9 @@ the mass function over a block of support points.  The sampling kernels
 are counter-based (see :mod:`urndist.rng`): variate t of a batch depends
 only on the seed and its draw index draw0+t, so the streams do not depend
 on batch sizes.  The mass-function kernel is built on
-``floats.log_fail_block``.
+``floats.log_fail_block``.  ``inverse_cdf_table_batch`` is the inverse
+sampler's placement step: it searches one cdf block for a run of sorted
+uniforms, and ``sampler._quantiles`` calls it once per block it scans.
 
 The urn walk advances every live draw ("lane") one step per pass.
 It never forms the uniform: u = (w >> 11) * 2^-53 < p holds exactly when
@@ -141,14 +143,10 @@ def urn_walk_batch(
         step += 1
 
 
-def inverse_cdf_table_batch(
-    cdf_table: np.ndarray, seed: int, draw0: int, count: int
-) -> np.ndarray:
-    """Invert a tabulated cdf at one uniform per draw: smallest n with
-    cdf_table[n-1] > u.  The table must end in exactly 1.0."""
-    u = uniform_block(seed, draw0, count)
-    # first index with cdf_table[idx] > u; last entry is exactly 1.0 > u
-    return np.searchsorted(cdf_table, u, side="right").astype(np.int64) + 1
+def inverse_cdf_table_batch(cdf_block: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Place uniforms on one block of a cdf: for each u, the number of block
+    entries <= u (``sampler._quantiles`` adds the block's first n)."""
+    return np.searchsorted(cdf_block, u, side="right")
 
 
 def pmf_float_range(total: int, good: int, n_start: int, count: int) -> np.ndarray:

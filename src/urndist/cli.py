@@ -54,6 +54,10 @@ _WALK_STEP_LANES = 2500
 
 
 def _frac(value: Fraction) -> str:
+    limit = sys.get_int_max_str_digits()  # 0 means unlimited
+    if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
+        raise ResourceGuardError(
+            f"an exact fraction has more than {limit} digits, the int-to-str limit")
     return f"{value.numerator}/{value.denominator}"
 
 
@@ -155,7 +159,7 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except ResourceGuardError as exc:
+        except (ResourceGuardError, MemoryError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
         except (ParameterError, UrnError) as exc:

@@ -32,6 +32,26 @@ def run(runner, *args, env=None):
     return runner.invoke(cli, list(args), env=env, catch_exceptions=False)
 
 
+def _refused_within_2s(*args):
+    """Run the CLI in a fresh process; it must exit 3 within 2 s, with empty
+    stdout and one stderr line."""
+    root = os.path.dirname(os.path.dirname(urndist.__file__))
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "urndist.cli", *args],
+        env=dict(os.environ, PYTHONPATH=root),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 2.0
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+    return out
+
+
 class TestTable:
     def test_uniform_three_csv(self, runner):
         result = run(runner, "table", "--n", "3", "--k", "1")
@@ -201,6 +221,19 @@ class TestStats:
     def test_invalid_exit_2(self, runner):
         assert run(runner, "stats", "--n", "0", "--k", "0").exit_code == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unprintable_variance_exit_3(self, runner, fmt):
+        # the variance at n = 10**2200 has about 4400 digits, past the
+        # default int-to-str limit of 4300; n = 10**2100 stays under it
+        result = run(runner, "stats", "--n", str(10**2200), "--k", "3", "--format", fmt)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+        assert "digits" in result.stderr
+        assert run(runner, "stats", "--n", str(10**2100), "--k", "3",
+                   "--format", fmt).exit_code == 0
+
 
 class TestSample:
     def test_degenerate_all_ones(self, runner):
@@ -272,24 +305,41 @@ class TestSample:
         assert result.exit_code == 0
         assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "total, good, count, seed, fmt, digest",
+        [
+            (250000, 40, 20000, 7, "csv",
+             "76bf8f417b11babd87afac82c7180be0126eb67692b9081c9b074a7771d28086"),
+            (250000, 40, 20000, 7, "json",
+             "bc65069f49a9778a6b96f740ce68b0eed856b7f8de34df1d4f43600ff470d05b"),
+            # two and seven cdf blocks
+            (33168, 3, 4000, 3, "csv",
+             "a0c930015966d5162624fdbdfb9a1bf07162c40507220089ee6864865797b707"),
+            (200000, 1, 2000, 5, "csv",
+             "ebd7e22bd3c0643f5d029044f48b87272bcb1946bf3a01db5cd3d4b373d9d2ff"),
+        ],
+    )
+    def test_inverse_stream_pinned(self, runner, total, good, count, seed, fmt, digest):
+        result = run(runner, "sample", "--n", str(total), "--k", str(good),
+                     "--count", str(count), "--method", "inverse",
+                     "--seed", str(seed), "--format", fmt)
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_walk_work_guard_exit_3(self, fmt):
-        root = os.path.dirname(os.path.dirname(urndist.__file__))
-        start = time.perf_counter()
-        out = subprocess.run(
-            [sys.executable, "-m", "urndist.cli", "sample", "--n", "1000000000000",
-             "--k", "1", "--count", "3", "--method", "urn", "--format", fmt],
-            env=dict(os.environ, PYTHONPATH=root),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert time.perf_counter() - start < 2.0
-        assert out.returncode == 3
-        assert out.stdout == ""
-        assert "Traceback" not in out.stderr
-        assert len(out.stderr.splitlines()) == 1
+        out = _refused_within_2s("sample", "--n", "1000000000000", "--k", "1",
+                                 "--count", "3", "--method", "urn", "--format", fmt)
         assert "--method inverse" in out.stderr
+
+    # 8·10**18 bytes is past any 48- or 57-bit address space and 10**20 past
+    # numpy's size limit, so these runs touch no memory; smaller counts could
+    # be overcommitted and then killed
+    @pytest.mark.parametrize("count", [10**18, 10**20])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unallocatable_inverse_count_exit_3(self, count, fmt):
+        _refused_within_2s("sample", "--n", "10", "--k", "3", "--count", str(count),
+                           "--method", "inverse", "--format", fmt)
 
     def test_walk_work_guard_limit(self):
         # ten times the sample-walk benchmark workload still passes

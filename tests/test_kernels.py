@@ -5,8 +5,7 @@ import pytest
 
 from urndist import UrnParams, cdf_float, log_fail, pmf_float
 from urndist._kernels import pmf_float_range
-from urndist.floats import LOG_FAIL_BLOCK, log_fail_block
-from urndist.sampler import _cdf_table
+from urndist.floats import LOG_FAIL_BLOCK, cdf_blocks, log_fail_block
 
 TOTALS = (2000, 10**9, 10**12, 2**53 + 12345)
 GOODS = (1, 5, 7, 32, 33, 10**6)
@@ -82,7 +81,7 @@ def test_pmf_range_within_1e_12_at_the_converge_urn():
 @pytest.mark.parametrize("total, good", [(2000, 33), (2000, 1), (100000, 3)])
 def test_cdf_table_matches_cdf_float(total, good):
     params = UrnParams(total=total, good=good)
-    table = _cdf_table(params)
+    table = np.concatenate([block for _, block in cdf_blocks(params)])
     assert table.size == params.support_size
     want = np.array([cdf_float(params, n) for n in range(1, table.size + 1)])
     np.testing.assert_allclose(table, want, rtol=RTOL, atol=0)

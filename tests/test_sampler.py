@@ -8,6 +8,7 @@ from scipy import stats
 
 from urndist import (
     ParameterError,
+    ResourceGuardError,
     SamplerState,
     UrnParams,
     inverse_cdf,
@@ -19,10 +20,9 @@ from urndist import (
     sample_urn_walk_batch,
     variance,
 )
-from urndist import _kernels, sampler
-from urndist.floats import LOG_FAIL_BLOCK
+from urndist import _kernels
+from urndist.floats import LOG_FAIL_BLOCK, cdf_blocks
 from urndist.rng import U53, draw_root, step_uniform
-from urndist.sampler import _cdf_table
 
 
 def reference_urn_walk(total: int, good: int, seed: int, draw: int) -> int:
@@ -145,7 +145,7 @@ class TestInverseCdf:
     def test_quantile_agrees_with_table_lookup(self):
         # support of ~33k points spans two cdf blocks
         params = UrnParams(LOG_FAIL_BLOCK + 400, 3)
-        table = _cdf_table(params)
+        table = np.concatenate([block for _, block in cdf_blocks(params)])
         assert params.support_size > LOG_FAIL_BLOCK
         assert table[-1] == 1.0 and np.all(np.diff(table) >= 0.0)
         rng = np.random.default_rng(11)
@@ -155,10 +155,15 @@ class TestInverseCdf:
         looked_up = np.searchsorted(table, grid, side="right") + 1
         assert [inverse_cdf(params, float(u)) for u in grid] == looked_up.tolist()
 
-    def test_draws_past_the_table_limit_equal_table_draws(self, monkeypatch):
-        params = UrnParams(LOG_FAIL_BLOCK + 400, 3)
-        want = sample_inverse_cdf_batch(params, SamplerState(seed=3), 4000)
-        monkeypatch.setattr(sampler, "_TABLE_LIMIT", 100)
+    # the block-by-block placement against one search of the whole cdf: two
+    # blocks, the second with little mass, and four of nearly equal mass
+    @pytest.mark.parametrize(
+        "total, good", [(LOG_FAIL_BLOCK + 400, 3), (4 * LOG_FAIL_BLOCK - 100, 1)]
+    )
+    def test_batch_draws_equal_whole_table_search(self, total, good):
+        params = UrnParams(total, good)
+        table = np.concatenate([block for _, block in cdf_blocks(params)])
+        want = np.searchsorted(table, _kernels.uniform_block(3, 0, 4000), side="right") + 1
         got = sample_inverse_cdf_batch(params, SamplerState(seed=3), 4000)
         assert np.array_equal(got, want)
 
@@ -224,3 +229,11 @@ class TestValidation:
             sample_urn_walk_batch(UrnParams(5, 2), state, 0)
         with pytest.raises(ParameterError):
             sample_inverse_cdf_batch(UrnParams(5, 2), state, -3)
+
+    def test_count_past_the_largest_array_refused(self):
+        # 2**60 draws of 8 bytes overflow numpy's byte count of one array
+        state = SamplerState(seed=0)
+        for sample in (sample_urn_walk_batch, sample_inverse_cdf_batch):
+            with pytest.raises(ResourceGuardError):
+                sample(UrnParams(5, 2), state, 2**60)
+        assert state.draw_index == 0  # refused before any index was taken
