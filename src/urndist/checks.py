@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ParameterError
+from .errors import require_int
 from .exact import (
     UrnParams,
     binomial,
@@ -220,14 +220,7 @@ def _check_sum_identities(max_total: int) -> FamilyResult:
 
 def run_all(max_total: int, *, force: bool = False) -> list[FamilyResult]:
     """Run every verification family up to ``max_total``; order is stable."""
-    if (
-        isinstance(max_total, bool)
-        or not isinstance(max_total, int)
-        or max_total < 1
-    ):
-        raise ParameterError(
-            f"max total must be a positive integer, got {max_total!r}"
-        )
+    require_int("max total", max_total, 1)
     return [
         _check_pmf_oracle(max_total, force),
         _check_moments(max_total),

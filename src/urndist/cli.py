@@ -79,6 +79,7 @@ def _emit_json(params_obj: dict, rows) -> None:
         body = json.dumps(chunk, indent=2)[1:-2].replace("\n", "\n  ")
         out.write(head + opening + body)
         head, opening = "", ","
+        del chunk, body  # free both before the next chunk is built
     out.write(head + ("[]" if opening == "[" else "\n  ]") + "\n}\n")
     out.flush()
 

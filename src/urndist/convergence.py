@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import ParameterError
+from .errors import ParameterError, require_int
 from .exact import UrnParams
 from .floats import LOG_FAIL_BLOCK
 
@@ -52,10 +52,7 @@ class ConvergenceRecord:
 
 def geometric_pmf(p: float, n: int) -> float:
     """Geometric law on 1, 2, ...: probability (1-p)^(n-1) p."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ParameterError(f"draw index must be an integer, got {n!r}")
-    if n < 1:
-        raise ParameterError(f"draw index must be >= 1, got {n}")
+    require_int("draw index", n, 1)
     if not 0.0 < p <= 1.0:
         raise ParameterError(f"p must lie in (0, 1], got {p!r}")
     return (1.0 - p) ** (n - 1) * p
@@ -122,8 +119,7 @@ def convergence_table(
         raise ParameterError("totals must be non-empty")
     records = []
     for total in totals:
-        if isinstance(total, bool) or not isinstance(total, int) or total < 1:
-            raise ParameterError(f"totals must be positive integers, got {total!r}")
+        require_int("total", total, 1)
         good_times_den = total * p.numerator
         if good_times_den % p.denominator:
             raise ParameterError(

@@ -26,7 +26,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParameterError
+from .errors import ParameterError, require_int
 
 __all__ = [
     "UrnParams",
@@ -48,12 +48,6 @@ __all__ = [
 ]
 
 
-def _require_int(name: str, value: object) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class UrnParams:
     """Validated urn description: ``total`` objects, ``good`` of them good.
@@ -67,10 +61,8 @@ class UrnParams:
     good: int
 
     def __post_init__(self) -> None:
-        _require_int("total", self.total)
-        _require_int("good", self.good)
-        if self.good < 1:
-            raise ParameterError(f"good must be >= 1, got {self.good}")
+        require_int("total", self.total)
+        require_int("good", self.good, 1)
         if self.total < self.good:
             raise ParameterError(
                 f"total must be >= good, got total={self.total} good={self.good}"
@@ -93,10 +85,8 @@ def binomial(n: int, k: int) -> int:
     Follows the usual combinatorial convention: 0 for k < 0 or k > n.
     Negative n is an error rather than the generalized binomial.
     """
-    _require_int("n", n)
-    _require_int("k", k)
-    if n < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
+    require_int("n", n, 0)
+    require_int("k", k)
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
@@ -108,9 +98,7 @@ def fail_probability(params: UrnParams, n: int) -> Fraction:
     Equals C(total-n, good) / C(total, good); by convention 1 at n = 0 and
     0 once n exceeds the number of bad objects.
     """
-    _require_int("n", n)
-    if n < 0:
-        raise ParameterError(f"draw count must be >= 0, got {n}")
+    require_int("draw count", n, 0)
     if n == 0:
         return Fraction(1)
     if n > params.total - params.good:
@@ -126,9 +114,7 @@ def pmf(params: UrnParams, n: int) -> Fraction:
 
     Exactly 0 outside the support; n < 1 is a domain error.
     """
-    _require_int("n", n)
-    if n < 1:
-        raise ParameterError(f"draw index must be >= 1, got {n}")
+    require_int("draw index", n, 1)
     if n > params.support_size:
         return Fraction(0)
     return fail_probability(params, n - 1) * Fraction(
@@ -159,18 +145,21 @@ def variance(params: UrnParams) -> Fraction:
 def median(params: UrnParams) -> int:
     """Smallest m with P(X <= m) >= 1/2.
 
-    P(X <= m) >= 1/2 is the integer inequality 2 C(total-m, good) <=
-    C(total, good).  A galloping search probes m = 1, 2, 4, ... until it
-    holds, then bisects between the last failing and the first passing
-    probe: O(log median) binomials instead of a scan over m.
+    P(X <= m) >= 1/2 is Fail(m) <= 1/2, and Fail(m) = perm(bad, m) /
+    perm(total, m) = perm(total-m, good) / perm(total, good), so each probe
+    compares 2 numerator <= denominator in the form with min(m, good)
+    factors and never builds C(total, good).  A galloping search probes
+    m = 1, 2, 4, ... until it holds, then bisects between the last failing
+    and the first passing probe: O(log median) probes instead of a scan.
     """
     n, k = params.total, params.good
-    full = binomial(n, k)
 
     def reached(m: int) -> bool:
-        return 2 * binomial(n - m, k) <= full
+        if m <= k:
+            return 2 * math.perm(n - k, m) <= math.perm(n, m)
+        return 2 * math.perm(n - m, k) <= math.perm(n, k)
 
-    lo, hi = 0, 1  # m = 0 never passes: 2 C(n, k) > C(n, k)
+    lo, hi = 0, 1  # m = 0 never passes: Fail(0) = 1
     while not reached(hi):
         lo, hi = hi, min(2 * hi, params.support_size)
     while hi - lo > 1:
@@ -265,33 +254,21 @@ def pmf_table(params: UrnParams) -> PmfTable:
 
 def sum_binom_closed(k: int, n: int) -> int:
     """Closed form of sum_{j=k}^{n} C(j, k): the hockey-stick value C(n+1, k+1)."""
-    _require_int("k", k)
-    _require_int("n", n)
-    if k < 0:
-        raise ParameterError(f"k must be >= 0, got {k}")
-    if n < k:
-        raise ParameterError(f"n must be >= k, got n={n} k={k}")
+    require_int("k", k, 0)
+    require_int("n", n, k)
     return binomial(n + 1, k + 1)
 
 
 def sum_binom_from_closed(x: int, k: int, n: int) -> int:
     """Closed form of sum_{j=x}^{n} C(j, k) for k <= x <= n."""
-    _require_int("x", x)
-    _require_int("k", k)
-    _require_int("n", n)
-    if k < 0:
-        raise ParameterError(f"k must be >= 0, got {k}")
-    if not k <= x <= n:
-        raise ParameterError(f"need k <= x <= n, got x={x} k={k} n={n}")
+    require_int("k", k, 0)
+    require_int("x", x, k)
+    require_int("n", n, x)
     return binomial(n + 1, k + 1) - binomial(x, k + 1)
 
 
 def sum_j_binom_closed(k: int, n: int) -> int:
     """Closed form of sum_{j=k}^{n} j C(j, k): n C(n+1, k+1) - C(n+1, k+2)."""
-    _require_int("k", k)
-    _require_int("n", n)
-    if k < 0:
-        raise ParameterError(f"k must be >= 0, got {k}")
-    if n < k:
-        raise ParameterError(f"n must be >= k, got n={n} k={k}")
+    require_int("k", k, 0)
+    require_int("n", n, k)
     return n * binomial(n + 1, k + 1) - binomial(n + 1, k + 2)

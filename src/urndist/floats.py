@@ -20,7 +20,7 @@ are regrouped so that no term is more than a few times the result in
 size.  The relative error of the log is then a few ulps at every size:
 below 1e-15 at totals of 1e9 and 1e12 against 60-digit references.  The
 same formula serves scalars (``_log_fail``) and contiguous blocks of m in
-numpy (``log_fail_block``, for cdf tables and mass-function ranges).
+numpy (``log_fail_block``, for cdf blocks and mass-function ranges).
 
 Stated bounds: 1e-13 relative on log-fail values however small, and
 1e-10 relative on pmf and cdf values.  ``pmf_float`` rounds once, in its
@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_int
 from .exact import UrnParams
 
 __all__ = [
@@ -236,19 +236,12 @@ def cdf_blocks(params: UrnParams):
         yield n0, block
 
 
-def _require_count(n: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ParameterError(f"draw count must be an integer, got {n!r}")
-    if n < 0:
-        raise ParameterError(f"draw count must be >= 0, got {n}")
-
-
 def log_fail(params: UrnParams, n: int) -> float:
     """log of the probability that the first ``n`` draws are all bad.
 
     Exactly 0.0 at n = 0 and -inf once n exceeds the number of bad objects.
     """
-    _require_count(n)
+    require_int("draw count", n, 0)
     if n == 0:
         return 0.0
     total, good = params.total, params.good
@@ -263,10 +256,7 @@ def pmf_float(params: UrnParams, n: int) -> float:
     Rounded once, by the final exp, so that values deep in the subnormal
     range stay correctly rounded; n = 1 is the single division good/total.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ParameterError(f"draw index must be an integer, got {n!r}")
-    if n < 1:
-        raise ParameterError(f"draw index must be >= 1, got {n}")
+    require_int("draw index", n, 1)
     total, good = params.total, params.good
     if n == 1:
         return good / total
@@ -284,7 +274,7 @@ def cdf_float(params: UrnParams, n: int) -> float:
     probability is close to 1 the expm1 form keeps full relative accuracy
     in the small cdf value instead of cancelling it away.
     """
-    _require_count(n)
+    require_int("draw count", n, 0)
     if n == 0:
         return 0.0
     total, good = params.total, params.good

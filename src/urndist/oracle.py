@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import ParameterError, ResourceGuardError
+from .errors import ResourceGuardError, require_int
 from .exact import PmfTable, UrnParams
 from .rng import SamplerState
 from .sampler import sample_urn_walk_batch
@@ -72,8 +72,7 @@ def mc_estimate(
     params: UrnParams, trials: int, state: SamplerState
 ) -> EmpiricalPmf:
     """Monte Carlo tally of the urn-walk sampler; deterministic given seed."""
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise ParameterError(f"trials must be a positive integer, got {trials!r}")
+    require_int("trials", trials, 1)
     samples = sample_urn_walk_batch(params, state, trials)
     counts = np.bincount(samples, minlength=params.support_size + 1)[1:]
     return EmpiricalPmf(

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .errors import ParameterError, ResourceGuardError
+from .errors import ParameterError, ResourceGuardError, require_int
 from .exact import UrnParams
 from .floats import cdf_blocks
 from .rng import SamplerState
@@ -36,8 +36,7 @@ __all__ = [
 
 
 def _require_count(count: int) -> None:
-    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-        raise ParameterError(f"count must be a positive integer, got {count!r}")
+    require_int("count", count, 1)
     if count > np.iinfo(np.intp).max // 8:  # numpy's size limit for 8-byte values
         raise ResourceGuardError(f"count {count} exceeds the largest array numpy can hold")
 

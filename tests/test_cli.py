@@ -221,6 +221,23 @@ class TestStats:
     def test_invalid_exit_2(self, runner):
         assert run(runner, "stats", "--n", "0", "--k", "0").exit_code == 2
 
+    def test_median_at_huge_binomial_within_2s(self):
+        # C(10**6, 5*10**5) has about 300k digits; the median, 1, must not
+        # need it
+        root = os.path.dirname(os.path.dirname(urndist.__file__))
+        start = time.perf_counter()
+        out = subprocess.run(
+            [sys.executable, "-m", "urndist.cli", "stats",
+             "--n", "1000000", "--k", "500000"],
+            env=dict(os.environ, PYTHONPATH=root),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert time.perf_counter() - start < 2.0
+        assert out.returncode == 0
+        assert out.stdout.splitlines()[1].split(",")[2] == "1"
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_unprintable_variance_exit_3(self, runner, fmt):
         # the variance at n = 10**2200 has about 4400 digits, past the
@@ -476,6 +493,28 @@ class TestImport:
                     imported.add(node.module.split(".")[0])
         third_party = imported - set(sys.stdlib_module_names) - {"__future__"}
         assert declared == third_party == {"numpy", "click"}
+
+    def test_integer_checks_live_in_errors_only(self):
+        # every integer argument goes through errors.require_int, so no
+        # other module tests isinstance(..., bool)
+        root = pathlib.Path(__file__).resolve().parents[1]
+        found = []
+        for path in sorted((root / "src" / "urndist").glob("*.py")):
+            if path.name == "errors.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance"
+                    and len(node.args) == 2
+                    and any(
+                        isinstance(n, ast.Name) and n.id == "bool"
+                        for n in ast.walk(node.args[1])
+                    )
+                ):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
 
 
 class TestFloatDomain:
