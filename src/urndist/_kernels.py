@@ -4,10 +4,12 @@ Everything here is batch-oriented: drawing many variates or evaluating
 the mass function over a block of support points.  The sampling kernels
 are counter-based (see :mod:`urndist.rng`): variate t of a batch depends
 only on the seed and its draw index draw0+t, so the streams do not depend
-on batch sizes.  The mass-function kernel is built on
-``floats.log_fail_block``.  ``inverse_cdf_table_batch`` is the inverse
-sampler's placement step: it searches one cdf block for a run of sorted
-uniforms, and ``sampler._quantiles`` calls it once per block it scans.
+on batch sizes.  The mass-function kernel is built on the log-fail block
+kernel of :mod:`urndist.floats` and computes each block in that module's
+per-thread workspace; the array it returns is fresh.
+``inverse_cdf_table_batch`` is the inverse sampler's placement step: it
+searches one cdf block for a run of sorted uniforms, and
+``sampler._quantiles`` calls it once per block it scans.
 
 The urn walk advances every live draw ("lane") one step per pass.
 It never forms the uniform: u = (w >> 11) * 2^-53 < p holds exactly when
@@ -26,7 +28,7 @@ import math
 
 import numpy as np
 
-from .floats import LOG_FAIL_BLOCK, log_fail_block
+from .floats import LOG_FAIL_BLOCK, _log_fail_into, _workspace
 from .rng import GOLDEN_GAMMA, MASK64, U53
 
 __all__ = [
@@ -152,15 +154,21 @@ def inverse_cdf_table_batch(cdf_block: np.ndarray, u: np.ndarray) -> np.ndarray:
 def pmf_float_range(total: int, good: int, n_start: int, count: int) -> np.ndarray:
     """Float mass function at n_start..n_start+count-1, within 1..total-good+1.
 
-    exp(log_fail(n-1) + log(good/(total-n+1))) from ``log_fail_block``, as
-    ``floats.pmf_float`` computes it; n = 1 is good/total.
+    exp(log_fail(n-1) + log(good/(total-n+1))) from the log-fail block
+    kernel, as ``floats.pmf_float`` computes it; n = 1 is good/total.  The
+    blocks are computed in the thread's workspace; the result is fresh.
     """
     out = np.empty(count, dtype=np.float64)
     first = int(count > 0 and n_start == 1)
     out[:first] = good / total  # n = 1 has no log-fail term
+    k, ratio = _workspace()[:2]  # block 1 is free once _log_fail_into returns
     for lo in range(first, count, LOG_FAIL_BLOCK):
         m0, size = n_start + lo - 1, min(LOG_FAIL_BLOCK, count - lo)
-        lf = log_fail_block(total, good, m0, size)  # checks the domain first
-        ratio = good / (float(total - m0) - np.arange(size, dtype=np.float64))
-        np.exp(lf + np.log(ratio), out=out[lo : lo + size])
+        lf, r = out[lo : lo + size], ratio[:size]
+        _log_fail_into(total, good, m0, lf)  # checks the domain first
+        np.subtract(float(total - m0), k[:size], out=r)  # total-n+1, n = m0+1+k
+        np.divide(good, r, out=r)
+        np.log(r, out=r)
+        np.add(lf, r, out=lf)
+        np.exp(lf, out=lf)
     return out

@@ -15,6 +15,11 @@ found so far and at most 2^-60 of the |urn - geometric| mass summed so far
 follows ln(2^60/tv)/p, not the support size.  When the scan reaches the end
 of the support instead, the geometric tail past it, q^(total-good+1), is
 added in closed form.
+
+Since the summed mass is at most 2, no scan stops before q^(N-1) <= 2^-60,
+so it evaluates at least min(support, ceil(60 ln 2 / -log q)) points;
+urns where that exceeds ``_SCAN_POINTS_LIMIT`` are refused with
+``ResourceGuardError`` before any is scanned.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import ParameterError, require_int
+from .errors import ParameterError, ResourceGuardError, require_int
 from .exact import UrnParams
 from .floats import LOG_FAIL_BLOCK
 
@@ -37,6 +42,16 @@ __all__ = [
     "tv_distance",
     "convergence_table",
 ]
+
+# Fewest points a scan needs before it can stop: q^(N-1) <= 2^-60.
+_STOP_LOG = 60 * math.log(2)
+# Largest such lower bound, in points, that the scan accepts.  On a 2-core
+# Xeon the scan costs 33-37 ns per point over 5e7-5e8 points, and it runs
+# 1.2-1.3 times its lower bound at tv from 2.7e-4 to 2.7e-6 (it takes
+# about ln(2^60/tv) / -log q points), so an urn at the limit takes 8-10 s;
+# (1e12, 1e5), bound 4.2e8, took 20 s.
+_SCAN_POINTS_LIMIT = 2 * 10**8
+
 
 @dataclass(frozen=True)
 class ConvergenceRecord:
@@ -58,6 +73,19 @@ def geometric_pmf(p: float, n: int) -> float:
     return (1.0 - p) ** (n - 1) * p
 
 
+def _require_scan_budget(params: UrnParams) -> None:
+    """Refuse an urn whose scan needs more than ``_SCAN_POINTS_LIMIT`` points."""
+    if params.support_size <= _SCAN_POINTS_LIMIT:
+        return
+    log_q = math.log1p(-params.good / params.total)
+    # the scan needs at least ceil(_STOP_LOG / -log_q) points
+    if -log_q * _SCAN_POINTS_LIMIT < _STOP_LOG:
+        raise ResourceGuardError(
+            f"the convergence scan would need more than its limit of "
+            f"{_SCAN_POINTS_LIMIT:.3g} points: p is too small for this total"
+        )
+
+
 def _tv_stats(params: UrnParams) -> tuple[float, float, int]:
     """(tv distance, max pointwise |pmf - geometric|, argmax n).
 
@@ -76,20 +104,27 @@ def _tv_stats(params: UrnParams) -> tuple[float, float, int]:
     max_err = 0.0
     at_n = 1
     start = 1
+    # one set of block buffers per call; n_minus_1 steps one block at a time
+    n_minus_1 = np.arange(min(LOG_FAIL_BLOCK, size), dtype=np.float64)
+    geom, diff = np.empty_like(n_minus_1), np.empty_like(n_minus_1)
     while start <= size:
         rest = 2.0 * q ** (start - 1)  # bounds both laws' mass at n >= start
         if rest < max_err and rest <= 2.0**-60 * scanned:
             break
         count = min(LOG_FAIL_BLOCK, size - start + 1)
-        ns = np.arange(start, start + count, dtype=np.float64)
+        if start > 1:
+            n_minus_1 += LOG_FAIL_BLOCK  # exact below 2^53, far past any scan
         urn = _kernels.pmf_float_range(total, good, start, count)
-        geom = np.power(q, ns - 1.0) * p
-        diff = np.abs(urn - geom)
-        abs_sums.append(float(diff.sum()))
+        g, d = geom[:count], diff[:count]
+        np.power(q, n_minus_1[:count], out=g)
+        np.multiply(g, p, out=g)
+        np.subtract(urn, g, out=d)
+        np.abs(d, out=d)
+        abs_sums.append(float(d.sum()))
         scanned += abs_sums[-1]
-        i = int(diff.argmax())
-        if diff[i] > max_err:
-            max_err = float(diff[i])
+        i = int(d.argmax())
+        if d[i] > max_err:
+            max_err = float(d[i])
             at_n = start + i
         start += count
     tail = q ** size if start > size else 0.0  # geometric mass past the support
@@ -99,6 +134,7 @@ def _tv_stats(params: UrnParams) -> tuple[float, float, int]:
 
 def tv_distance(params: UrnParams) -> float:
     """Total-variation distance to the geometric law with p = good/total."""
+    _require_scan_budget(params)
     return _tv_stats(params)[0]
 
 
@@ -117,7 +153,7 @@ def convergence_table(
         raise ParameterError(f"p must lie strictly between 0 and 1, got {p}")
     if not totals:
         raise ParameterError("totals must be non-empty")
-    records = []
+    urns = []
     for total in totals:
         require_int("total", total, 1)
         good_times_den = total * p.numerator
@@ -126,14 +162,16 @@ def convergence_table(
                 f"total={total} is incompatible with p={p}: "
                 f"{total} * {p} is not an integer"
             )
-        good = good_times_den // p.denominator
-        params = UrnParams(total=total, good=good)
+        urns.append(UrnParams(total=total, good=good_times_den // p.denominator))
+        _require_scan_budget(urns[-1])
+    records = []
+    for params in urns:
         tv, max_err, at_n = _tv_stats(params)
         records.append(
             ConvergenceRecord(
-                total=total,
-                good=good,
-                p=good / total,
+                total=params.total,
+                good=params.good,
+                p=params.good / params.total,
                 tv_distance=tv,
                 max_pointwise_error=max_err,
                 at_n=at_n,

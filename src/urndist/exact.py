@@ -148,16 +148,20 @@ def median(params: UrnParams) -> int:
     P(X <= m) >= 1/2 is Fail(m) <= 1/2, and Fail(m) = perm(bad, m) /
     perm(total, m) = perm(total-m, good) / perm(total, good), so each probe
     compares 2 numerator <= denominator in the form with min(m, good)
-    factors and never builds C(total, good).  A galloping search probes
+    factors and never builds C(total, good); perm(total, good) is built
+    once, by the first probe past good.  A galloping search probes
     m = 1, 2, 4, ... until it holds, then bisects between the last failing
     and the first passing probe: O(log median) probes instead of a scan.
     """
     n, k = params.total, params.good
+    full = 0  # perm(n, k) once a probe has needed it
 
     def reached(m: int) -> bool:
+        nonlocal full
         if m <= k:
             return 2 * math.perm(n - k, m) <= math.perm(n, m)
-        return 2 * math.perm(n - m, k) <= math.perm(n, k)
+        full = full or math.perm(n, k)
+        return 2 * math.perm(n - m, k) <= full
 
     lo, hi = 0, 1  # m = 0 never passes: Fail(0) = 1
     while not reached(hi):

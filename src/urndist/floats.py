@@ -22,6 +22,19 @@ below 1e-15 at totals of 1e9 and 1e12 against 60-digit references.  The
 same formula serves scalars (``_log_fail``) and contiguous blocks of m in
 numpy (``log_fail_block``, for cdf blocks and mass-function ranges).
 
+Block workspace
+---------------
+A block is ``LOG_FAIL_BLOCK`` points, and its temporaries are written with
+in-place ufuncs (``out=``), in the same operation order as the scalar
+expressions, into a per-thread workspace of three such blocks and 512
+doubles (772 KiB, allocated once per thread; m, a and b are rebuilt from
+the offsets k where needed rather than kept).  So a block allocates no
+array of its size but its result, and its values do not depend on the
+workspace.  The workspace holds values
+only within one call: every array returned or yielded here or by
+``_kernels`` is fresh, so ``list(cdf_blocks(...))`` keeps every block, and
+threads never share scratch space.
+
 Stated bounds: 1e-13 relative on log-fail values however small, and
 1e-10 relative on pmf and cdf values.  ``pmf_float`` rounds once, in its
 final ``exp``, so that values deep in the subnormal range keep their
@@ -34,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -164,59 +178,117 @@ def _log_fail(total: int, good: int, m: int) -> float:
     )
 
 
-# Points per log_fail_block call: the block's temporaries stay in cache.
+# Points per log_fail_block call, so that a block's temporaries stay in
+# cache.  They live in a per-thread workspace of such blocks (``_workspace``)
+# that holds values only within one call: every array this module or
+# ``_kernels`` returns or yields is fresh.
 LOG_FAIL_BLOCK = 1 << 15
+_STIRLERR_TABLE = np.array(_STIRLERR_SMALL)
+_local = threading.local()
 
 
-def _stirlerr_block(x0: int, x: np.ndarray) -> np.ndarray:
-    # _stirlerr at the descending block x = x0 - k: the 2-term series above
-    # 500, the 5-term series, then the table, as three contiguous slices
+def _workspace() -> tuple[np.ndarray, ...]:
+    """This thread's blocks of LOG_FAIL_BLOCK doubles: the read-only
+    k = 0, 1, ..., then two scratch blocks for ``_log_fail_into``, which
+    its callers may use between its calls, and the 5-term stirlerr
+    scratch, which holds at most 485 points."""
+    blocks = getattr(_local, "blocks", None)
+    if blocks is None:
+        k = np.arange(LOG_FAIL_BLOCK, dtype=np.float64)
+        k.flags.writeable = False
+        blocks = _local.blocks = (k, *np.empty((2, LOG_FAIL_BLOCK)), np.empty(512))
+    return blocks
+
+
+def _stirlerr_block(x0: int, x: np.ndarray, out: np.ndarray) -> None:
+    # _stirlerr at the descending block x = x0 - k into out: the 2-term
+    # series above 500, the 5-term series (at most 485 points, x = 16..500),
+    # then the table, as three contiguous slices
     i, j = (min(max(x0 - cut, 0), x.size) for cut in (500, 15))
-    out = np.empty_like(x)
-    out[:i] = (_S0 - _S1 / (x[:i] * x[:i])) / x[:i]
-    nn = x[i:j] * x[i:j]
-    out[i:j] = (_S0 - (_S1 - (_S2 - (_S3 - _S4 / nn) / nn) / nn) / nn) / x[i:j]
-    out[j:] = np.take(_STIRLERR_SMALL, x[j:].astype(np.intp))
-    return out
+    o, v = out[:i], x[:i]  # (_S0 - _S1 / (x*x)) / x
+    np.multiply(v, v, out=o)
+    np.divide(_S1, o, out=o)
+    np.subtract(_S0, o, out=o)
+    np.divide(o, v, out=o)
+    w, v, o = _workspace()[3][: j - i], x[i:j], out[i:j]  # innermost first
+    np.multiply(v, v, out=w)
+    np.divide(_S4, w, out=o)
+    for s in (_S3, _S2, _S1):
+        np.subtract(s, o, out=o)
+        np.divide(o, w, out=o)
+    np.subtract(_S0, o, out=o)
+    np.divide(o, v, out=o)
+    np.take(_STIRLERR_TABLE, x[j:].astype(np.intp), out=out[j:])
 
 
-def log_fail_block(total: int, good: int, m0: int, count: int) -> np.ndarray:
-    """``_log_fail`` at m = m0..m0+count-1, in numpy.
-
-    Needs 1 <= m0 and m0+count-1 <= total-good; callers pass at most
-    LOG_FAIL_BLOCK points.  m, a and b are exact offsets from the block
-    start, so a and b stay exact where m is close to total, and each
-    regime switch of ``_log_fail`` is a contiguous slice of the block.
-    """
+def _log_fail_into(total: int, good: int, m0: int, out: np.ndarray) -> None:
+    # log_fail_block into out, at most LOG_FAIL_BLOCK points
     bad = total - good
-    out = np.empty(count, dtype=np.float64)
+    count = out.size
     if count and m0 + count - 1 == bad:
         out[-1] = _log_fail(total, good, bad)  # a = 0
         count -= 1
     if not count:
-        return out
+        return
     st_const, log_p_bad = _fail_constants(total, good)
-    k, t, g = np.arange(count, dtype=np.float64), float(total), float(good)
-    m = float(m0) + k
-    a = float(bad - m0) - k
-    b = float(total - m0) - k
-    bad_b = float(bad) * b
-    # log1p(-m/total) while 2m < total, and log1p(-m*good/(bad*b)) while
-    # 2*m*good < bad*b, as in _log_fail
+    k, x, y = (w[:count] for w in _workspace()[:3])
+    acc, t, g = out[:count], float(total), float(good)
+    # m = m0 + k, a = bad - m and b = total - m are rebuilt from k where they
+    # are needed, so that the block needs two scratch arrays
+    m0f, a0f, b0f = float(m0), float(bad - m0), float(total - m0)
+    # log_fail = g*log_q + m*log_p_bad - (a + 1/2)*log_ratio + st_const
+    #            - stirlerr(a) + stirlerr(b), summed left to right in acc
+    # log_q: log1p(-m/total) while 2m < total, then log(b/total)
     i = min(max((total - 1) // 2 - m0 + 1, 0), count)
+    np.add(k[:i], m0f, out=x[:i])
+    np.negative(x[:i], out=x[:i])
+    np.divide(x[:i], t, out=x[:i])
+    np.log1p(x[:i], out=x[:i])
+    np.subtract(b0f, k[i:], out=x[i:])
+    np.divide(x[i:], t, out=x[i:])
+    np.log(x[i:], out=x[i:])
+    np.multiply(x, g, out=acc)
+    np.add(k, m0f, out=x)
+    np.multiply(x, log_p_bad, out=x)
+    np.add(acc, x, out=acc)
+    # log_ratio: log1p(-m*good/(bad*b)) while 2*m*good < bad*b, then
+    # log(a*total/(bad*b))
     j = min(max((bad * total - 1) // (2 * good + bad) - m0 + 1, 0), count)
-    log_q = np.concatenate((np.log1p(-m[:i] / t), np.log(b[i:] / t)))
-    log_ratio = np.concatenate(
-        (np.log1p(-(m[:j] * g) / bad_b[:j]), np.log(a[j:] * t / bad_b[j:]))
-    )
-    out[:count] = (
-        g * log_q
-        + m * log_p_bad
-        - (a + 0.5) * log_ratio
-        + st_const
-        - _stirlerr_block(bad - m0, a)
-        + _stirlerr_block(total - m0, b)
-    )
+    np.subtract(b0f, k, out=y)
+    np.multiply(float(bad), y, out=y)
+    np.add(k[:j], m0f, out=x[:j])
+    np.multiply(x[:j], g, out=x[:j])
+    np.negative(x[:j], out=x[:j])
+    np.divide(x[:j], y[:j], out=x[:j])
+    np.log1p(x[:j], out=x[:j])
+    np.subtract(a0f, k[j:], out=x[j:])
+    np.multiply(x[j:], t, out=x[j:])
+    np.divide(x[j:], y[j:], out=x[j:])
+    np.log(x[j:], out=x[j:])
+    np.subtract(a0f, k, out=y)
+    np.add(y, 0.5, out=y)
+    np.multiply(y, x, out=y)
+    np.subtract(acc, y, out=acc)
+    np.add(acc, st_const, out=acc)
+    np.subtract(a0f, k, out=y)
+    _stirlerr_block(bad - m0, y, x)
+    np.subtract(acc, x, out=acc)
+    np.subtract(b0f, k, out=y)
+    _stirlerr_block(total - m0, y, x)
+    np.add(acc, x, out=acc)
+
+
+def log_fail_block(total: int, good: int, m0: int, count: int) -> np.ndarray:
+    """``_log_fail`` at m = m0..m0+count-1, in numpy, as a fresh array.
+
+    Needs 1 <= m0 and m0+count-1 <= total-good; computed in blocks of
+    LOG_FAIL_BLOCK points from m0.  m, a and b are exact offsets from the
+    block start, so a and b stay exact where m is close to total, and each
+    regime switch of ``_log_fail`` is a contiguous slice of the block.
+    """
+    out = np.empty(count, dtype=np.float64)
+    for lo in range(0, count, LOG_FAIL_BLOCK):
+        _log_fail_into(total, good, m0 + lo, out[lo : lo + LOG_FAIL_BLOCK])
     return out
 
 
@@ -224,15 +296,17 @@ def cdf_blocks(params: UrnParams):
     """Yield (n0, cdf at n0..n0+len-1) over the whole support.
 
     Blocks of LOG_FAIL_BLOCK points from n = 1, so every caller sees the
-    same values; -expm1 of ``log_fail_block``, and the last block ends in
-    exactly 1.0.
+    same values; -expm1 of the log-fail block, and the last block ends in
+    exactly 1.0.  Each yielded block is a fresh array.
     """
     size = params.support_size
     for n0 in range(1, size + 1, LOG_FAIL_BLOCK):
         block = np.ones(min(LOG_FAIL_BLOCK, size + 1 - n0))
         # log-fail needs n <= total-good; the cdf at n = total-good+1 is 1
-        lf = log_fail_block(params.total, params.good, n0, min(block.size, size - n0))
-        block[: lf.size] = -np.expm1(lf)
+        cdf = block[: min(block.size, size - n0)]
+        _log_fail_into(params.total, params.good, n0, cdf)
+        np.expm1(cdf, out=cdf)
+        np.negative(cdf, out=cdf)
         yield n0, block
 
 

@@ -412,6 +412,15 @@ class TestConverge:
             "10000000,1000,0.0001,0.00027074728172497825,2.3068542289746531e-08,5860",
         ]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_tiny_p_scan_guard_exit_3_within_1s(self, fmt):
+        # the scan would need about 4.2e12 points before its stop rule can fire
+        start = time.perf_counter()
+        out = _refused_within_2s("converge", "--p-num", "1", "--p-den", "100000000000",
+                                 "--ns", "100000000000000000", "--format", fmt)
+        assert time.perf_counter() - start < 1.0
+        assert "points" in out.stderr
+
 
 class TestCheck:
     def test_all_pass_exit_0(self, runner):

@@ -1,10 +1,16 @@
 """Convergence diagnostics against brute-force references."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import numpy as np
 import pytest
+
+import urndist
 
 from urndist import (
     ConvergenceRecord,
@@ -17,7 +23,9 @@ from urndist import (
     tv_distance,
 )
 from urndist import _kernels
+from urndist import convergence
 from urndist.convergence import _tv_stats
+from urndist.errors import ResourceGuardError
 
 
 class TestGeometricPmf:
@@ -181,3 +189,63 @@ class TestBoundedScan:
         _tv_stats(UrnParams(10**7, 1000))
         # a scan to the geometric underflow point would take 7,999,602
         assert sum(points) <= 1 << 20
+
+
+class TestScanGuard:
+    def test_tiny_p_refused_before_the_scan(self, monkeypatch):
+        def no_scan(params):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(convergence, "_tv_stats", no_scan)
+        with pytest.raises(ResourceGuardError):
+            convergence_table(Fraction(1, 10**11), [10**17])
+        with pytest.raises(ResourceGuardError):  # a later total is refused first
+            convergence_table(Fraction(1, 10**11), [10**11, 10**17])
+        with pytest.raises(ResourceGuardError):
+            tv_distance(UrnParams(10**17, 10**6))
+
+    def test_guard_follows_the_stop_rule_bound(self):
+        limit = convergence._SCAN_POINTS_LIMIT
+        # the lower bound is ceil(60 ln 2 / -log q) points, or the support
+        good = 10**6
+        # neighbouring totals whose bounds lie 41 points either side of it
+        for total, refused in ((good * 4808984, True), (good * 4808983, False)):
+            need = math.ceil(60 * math.log(2) / -math.log1p(-good / total))
+            assert (need > limit) == refused
+            params = UrnParams(total, good)
+            if refused:
+                with pytest.raises(ResourceGuardError):
+                    convergence._require_scan_budget(params)
+            else:
+                convergence._require_scan_budget(params)
+        # a support within the limit is always scanned, however small p is
+        convergence._require_scan_budget(UrnParams(limit, 1))
+        with pytest.raises(ResourceGuardError):
+            convergence._require_scan_budget(UrnParams(limit + 1, 1))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt is Linux's")
+def test_block_scan_does_not_fault_per_block():
+    # Minor page faults of the benchmark's convergence scan in a fresh
+    # process: 29,520 when every block temporary was a new 256 KiB mapping,
+    # about 860 with the per-thread workspace (glibc malloc, x86-64 Linux).
+    code = textwrap.dedent(
+        """
+        import resource
+        from fractions import Fraction
+        from urndist import convergence_table
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        convergence_table(Fraction(1, 10000), [10**6, 10**7])
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+    )
+    root = os.path.dirname(os.path.dirname(urndist.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=root),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert int(out.stdout) < 5000

@@ -215,6 +215,21 @@ class TestMedian:
     def test_large_urns(self, total, good, expected):
         assert median(UrnParams(total, good)) == expected
 
+    @pytest.mark.parametrize("total,good,past_good", [(10**6, 100, True), (1000, 500, False)])
+    def test_full_permutation_built_once(self, monkeypatch, total, good, past_good):
+        # perm(total, good) does not depend on the probe: at most one build,
+        # and none when the median is at or below good
+        calls = []
+        real = math.perm
+
+        def counting(n, k=None):
+            calls.append((n, k))
+            return real(n, k)
+
+        monkeypatch.setattr(math, "perm", counting)
+        assert (median(UrnParams(total, good)) > good) == past_good
+        assert calls.count((total, good)) == int(past_good)
+
 
 class TestMode:
     def test_several_good(self):

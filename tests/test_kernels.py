@@ -1,5 +1,9 @@
 """The numpy log-fail block kernel against the scalar float layer."""
 
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -86,3 +90,100 @@ def test_cdf_table_matches_cdf_float(total, good):
     want = np.array([cdf_float(params, n) for n in range(1, table.size + 1)])
     np.testing.assert_allclose(table, want, rtol=RTOL, atol=0)
     assert table[-1] == 1.0
+
+
+# urns for the workspace tests: small, one block past the first, huge and
+# past 2^53
+WORKSPACE_URNS = ((2000, 33), (70000, 3), (10**12, 10**6), (2**53 + 12345, 3))
+
+
+def _block_results(total, good, between=lambda: None):
+    """Every block-kernel output at the first block, across the first block
+    boundary and at the m = bad endpoint; ``between`` runs between the
+    steps of ``cdf_blocks``."""
+    bad = total - good
+    size = bad + 1
+    block = LOG_FAIL_BLOCK
+    cross = min(block - 40, bad - 80)  # 80 points over the first boundary
+    results = {
+        "lf first": log_fail_block(total, good, 1, min(block, bad)),
+        "lf cross": log_fail_block(total, good, cross, 80),
+        "lf end": log_fail_block(total, good, bad - min(block, bad) + 1, min(block, bad)),
+        "lf two blocks": log_fail_block(total, good, 2, min(block + 100, bad - 1)),
+        "pmf first": pmf_float_range(total, good, 1, min(block, size)),
+        "pmf cross": pmf_float_range(total, good, cross, min(block + 100, size - cross + 1)),
+        "pmf end": pmf_float_range(total, good, size - 99, 100),
+    }
+    blocks = []
+    for n0, cdf in itertools.islice(cdf_blocks(UrnParams(total, good)), 3):
+        blocks.append(cdf)
+        between()
+    results["cdf"] = np.concatenate(blocks)
+    return results
+
+
+def _in_fresh_thread(fn, *args):
+    # a new thread starts with a new workspace
+    box = []
+    thread = threading.Thread(target=lambda: box.append(fn(*args)))
+    thread.start()
+    thread.join()
+    return box[0]
+
+
+def test_workspace_carries_no_state_between_calls():
+    first = {urn: _in_fresh_thread(_block_results, *urn) for urn in WORKSPACE_URNS}
+    for urn in WORKSPACE_URNS:
+        others = [other for other in WORKSPACE_URNS if other != urn]
+        for other in others:  # dirty the workspace with the other urns
+            _block_results(*other)
+        # and between the steps of the generator
+        def between():
+            for total, good in others:
+                pmf_float_range(total, good, 2, 1000)
+        again = _block_results(*urn, between=between)
+        assert first[urn].keys() == again.keys()
+        for name, values in first[urn].items():
+            assert np.array_equal(values.view(np.int64), again[name].view(np.int64)), (
+                urn, name)
+
+
+def test_returned_and_yielded_arrays_are_fresh():
+    total, good = 70000, 3  # three cdf blocks
+    blocks = [cdf for _, cdf in cdf_blocks(UrnParams(total, good))]
+    pmf = [pmf_float_range(total, good, n0, 100) for n0 in (1, 2)]
+    lf = [log_fail_block(total, good, m0, 100) for m0 in (1, 2)]
+    assert len(blocks) == 3
+    for x, y in itertools.combinations(blocks + pmf + lf, 2):
+        assert not np.shares_memory(x, y)
+    # the first block is not overwritten by the later ones
+    assert np.array_equal(blocks[0], _block_results(total, good)["cdf"][:LOG_FAIL_BLOCK])
+
+
+def test_threads_get_their_own_workspace():
+    # more threads than cores, switching every microsecond: a shared
+    # workspace would mix one urn's blocks into another's results
+    urns = WORKSPACE_URNS[:2] * 3
+    want = {urn: _block_results(*urn) for urn in set(urns)}
+    mismatches, finished = [], []
+
+    def work(urn):
+        for _ in range(3):
+            got = _block_results(*urn)
+            if any(not np.array_equal(got[k], want[urn][k]) for k in got):
+                mismatches.append(urn)
+        finished.append(urn)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(urn,)) for urn in urns]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(finished) == len(urns)
+    assert not mismatches
