@@ -1,6 +1,13 @@
 """Command-line front end: tables, statistics, samples, convergence reports
 and self-checks, as CSV or JSON on stdout.
 
+Output: each subcommand names its columns once and hands its rows to one
+writer, ``_emit``.  CSV is a header and one line per row, floats at 17
+significant digits.  JSON is {"schema_version": 1, "params": ..., "rows":
+[...]} as json.dumps(indent=2) prints it, a row being an object keyed by
+the columns (a bare value for one column).  Rows are streamed as they are
+made, and stdout stays empty when a command fails on its first row.
+
 Exit codes: 0 success, 2 usage or validation error, 3 resource guard
 tripped, 4 self-check failure.  Diagnostics go to stderr.  The environment
 variable URN_SEED supplies a default sampling seed (an explicit --seed
@@ -61,43 +68,37 @@ def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _f17(value: float) -> str:
-    return f"{value:.17g}"
+def _json_range(value: range) -> list[int]:
+    if isinstance(value, range):  # [first, last], as a..b is in CSV
+        return [value[0], value[-1]]
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _emit_json(params_obj: dict, rows) -> None:
-    """Write {"schema_version": 1, "params": ..., "rows": [...]} in the bytes
-    of json.dumps(payload, indent=2) and a newline, taking the rows from an
-    iterable one chunk at a time; nothing is written before the first chunk."""
-    head = json.dumps({"schema_version": 1, "params": params_obj, "rows": []}, indent=2)
-    head = head[: -len("[]\n}")]
+def _emit(fmt: str, params_obj: dict, columns: tuple[str, ...], rows, line) -> None:
+    """Write ``rows``, tuples of the values of ``columns`` (bare values for
+    one column), on stdout in ``_ECHO_CHUNK``-row chunks.  A CSV row is
+    ``line(row)``, and the header goes out with the first one; JSON writes
+    nothing before its first chunk."""
     out = sys.stdout
     rows = iter(rows)
-    opening = "["
-    while chunk := list(itertools.islice(rows, _ECHO_CHUNK)):
-        # the chunk's list without its brackets, one level deeper
-        body = json.dumps(chunk, indent=2)[1:-2].replace("\n", "\n  ")
-        out.write(head + opening + body)
-        head, opening = "", ","
-        del chunk, body  # free both before the next chunk is built
-    out.write(head + ("[]" if opening == "[" else "\n  ]") + "\n}\n")
-    out.flush()
-
-
-def _emit_csv(header: str, lines) -> None:
-    # the header goes out with the first row, so that a command that fails
-    # on its first row leaves stdout empty
-    out = sys.stdout
-    lines = iter(lines)
-    out.write("\n".join([header, *itertools.islice(lines, 1)]) + "\n")
-    chunk: list[str] = []
-    for line in lines:
-        chunk.append(line)
-        if len(chunk) >= _ECHO_CHUNK:
+    if fmt == "csv":
+        out.write("\n".join([",".join(columns), *map(line, itertools.islice(rows, 1))]) + "\n")
+        while chunk := list(map(line, itertools.islice(rows, _ECHO_CHUNK))):
             out.write("\n".join(chunk) + "\n")
-            chunk.clear()
-    if chunk:
-        out.write("\n".join(chunk) + "\n")
+            del chunk  # free it before the next chunk is built
+    else:
+        if len(columns) > 1:
+            rows = (dict(zip(columns, row)) for row in rows)
+        head = json.dumps({"schema_version": 1, "params": params_obj, "rows": []}, indent=2)
+        head = head[: -len("[]\n}")]
+        opening = "["
+        while chunk := list(itertools.islice(rows, _ECHO_CHUNK)):
+            # the chunk's list without its brackets, one level deeper
+            body = json.dumps(chunk, indent=2, default=_json_range)[1:-2].replace("\n", "\n  ")
+            out.write(head + opening + body)
+            head, opening = "", ","
+            del chunk, body  # free both before the next chunk is built
+        out.write(head + ("[]" if opening == "[" else "\n  ]") + "\n}\n")
     out.flush()
 
 
@@ -139,7 +140,7 @@ def _require_walk_budget(total: int, good: int, count: int) -> None:
 
 
 def _table_rows(params: UrnParams):
-    # (n, pmf_exact, pmf_float, cdf_exact, cdf_float) for n = 1..support:
+    # the rows of `urn table`, for n = 1..support:
     # P(n) = A/D and cdf(n) = (D - B)/D with (A, B) from binomial_numerators
     total, good = params.total, params.good
     full = binomial(total, good)
@@ -192,6 +193,14 @@ _format_option = click.option(
 )
 
 
+def _urn_options(fn):
+    """--n, then --k: applied in reverse, as stacked decorators are."""
+    for name, dest, text in (("--k", "good", "Number of good objects."),
+                             ("--n", "total", "Total objects in the urn.")):
+        fn = click.option(name, dest, type=int, required=True, help=text)(fn)
+    return fn
+
+
 @click.group()
 def cli() -> None:
     """Draws-until-first-success distribution for an urn sampled without
@@ -199,8 +208,7 @@ def cli() -> None:
 
 
 @cli.command("table")
-@click.option("--n", "total", type=int, required=True, help="Total objects in the urn.")
-@click.option("--k", "good", type=int, required=True, help="Number of good objects.")
+@_urn_options
 @_format_option
 @_guarded
 def cmd_table(total: int, good: int, fmt: str) -> None:
@@ -218,65 +226,35 @@ def cmd_table(total: int, good: int, fmt: str) -> None:
             f"of {_TABLE_ROWS_LIMIT} rows"
         )
     _require_printable(total, good)
-    rows = _table_rows(params)
-    if fmt == "json":
-        _emit_json(
-            {"n": total, "k": good},
-            (
-                {"n": n, "pmf_exact": pe, "pmf_float": pf, "cdf_exact": ce, "cdf_float": cf}
-                for n, pe, pf, ce, cf in rows
-            ),
-        )
-    else:
-        _emit_csv(
-            "n,pmf_exact,pmf_float,cdf_exact,cdf_float",
-            (f"{n},{pe},{pf:.17g},{ce},{cf:.17g}" for n, pe, pf, ce, cf in rows),
-        )
+    _emit(
+        fmt, {"n": total, "k": good},
+        ("n", "pmf_exact", "pmf_float", "cdf_exact", "cdf_float"),
+        _table_rows(params),
+        lambda r: f"{r[0]},{r[1]},{r[2]:.17g},{r[3]},{r[4]:.17g}",
+    )
 
 
 @cli.command("stats")
-@click.option("--n", "total", type=int, required=True, help="Total objects in the urn.")
-@click.option("--k", "good", type=int, required=True, help="Number of good objects.")
+@_urn_options
 @_format_option
 @_guarded
 def cmd_stats(total: int, good: int, fmt: str) -> None:
     """Summary statistics: mean, variance, median, mode and support."""
     params = UrnParams(total=total, good=good)
-    modes = sorted(mode(params))
-    sup = support(params)
-    if fmt == "json":
-        _emit_json(
-            {"n": total, "k": good},
-            [
-                {
-                    "mean": _frac(mean(params)),
-                    "variance": _frac(variance(params)),
-                    "median": median(params),
-                    "mode": modes,
-                    "support": [sup.start, sup.stop - 1],
-                }
-            ],
-        )
-    else:
-        _emit_csv(
-            "mean,variance,median,mode,support",
-            [
-                ",".join(
-                    (
-                        _frac(mean(params)),
-                        _frac(variance(params)),
-                        str(median(params)),
-                        " ".join(map(str, modes)),
-                        f"{sup.start}..{sup.stop - 1}",
-                    )
-                )
-            ],
-        )
+    row = (
+        _frac(mean(params)), _frac(variance(params)), median(params),
+        sorted(mode(params)), support(params),
+    )
+    _emit(
+        fmt, {"n": total, "k": good},
+        ("mean", "variance", "median", "mode", "support"),
+        [row],
+        lambda r: f"{r[0]},{r[1]},{r[2]},{' '.join(map(str, r[3]))},{r[4][0]}..{r[4][-1]}",
+    )
 
 
 @cli.command("sample")
-@click.option("--n", "total", type=int, required=True, help="Total objects in the urn.")
-@click.option("--k", "good", type=int, required=True, help="Number of good objects.")
+@_urn_options
 @click.option("--count", type=click.IntRange(min=1), required=True, help="Number of draws.")
 @click.option("--seed", type=int, default=None, help="RNG seed [default: $URN_SEED or 0].")
 @click.option(
@@ -304,13 +282,8 @@ def cmd_sample(
     ints = itertools.chain.from_iterable(
         values[lo : lo + _ECHO_CHUNK].tolist() for lo in range(0, values.size, _ECHO_CHUNK)
     )
-    if fmt == "json":
-        _emit_json(
-            {"n": total, "k": good, "count": count, "seed": seed, "method": method},
-            ints,
-        )
-    else:
-        _emit_csv("value", map(str, ints))
+    params_obj = {"n": total, "k": good, "count": count, "seed": seed, "method": method}
+    _emit(fmt, params_obj, ("value",), ints, str)
 
 
 @cli.command("converge")
@@ -337,30 +310,13 @@ def cmd_converge(p_num: int, p_den: int, totals_csv: str, fmt: str) -> None:
     except ValueError:
         raise ParameterError(f"--ns must be comma-separated integers, got {totals_csv!r}")
     records = convergence_table(p, totals)
-    if fmt == "json":
-        _emit_json(
-            {"p": _frac(p), "ns": totals},
-            [
-                {
-                    "N": r.total,
-                    "K": r.good,
-                    "p": r.p,
-                    "tv_distance": r.tv_distance,
-                    "max_pointwise_error": r.max_pointwise_error,
-                    "at_n": r.at_n,
-                }
-                for r in records
-            ],
-        )
-    else:
-        _emit_csv(
-            "N,K,p,tv_distance,max_pointwise_error,at_n",
-            (
-                f"{r.total},{r.good},{_f17(r.p)},{_f17(r.tv_distance)},"
-                f"{_f17(r.max_pointwise_error)},{r.at_n}"
-                for r in records
-            ),
-        )
+    _emit(
+        fmt, {"p": _frac(p), "ns": totals},
+        ("N", "K", "p", "tv_distance", "max_pointwise_error", "at_n"),
+        ((r.total, r.good, r.p, r.tv_distance, r.max_pointwise_error, r.at_n)
+         for r in records),
+        lambda r: f"{r[0]},{r[1]},{r[2]:.17g},{r[3]:.17g},{r[4]:.17g},{r[5]}",
+    )
 
 
 @cli.command("check")
@@ -375,35 +331,20 @@ def cmd_converge(p_num: int, p_den: int, totals_csv: str, fmt: str) -> None:
 @click.option(
     "--force",
     is_flag=True,
-    help="Lift the enumeration size guard (expensive above the default).",
+    help="Lift the enumeration and sweep size guards (expensive above the default).",
 )
 @_format_option
 @_guarded
 def cmd_check(max_total: int, force: bool, fmt: str) -> None:
     """Run the self-verification families and report pass/fail counts."""
     results = checks_mod.run_all(max_total, force=force)
-    if fmt == "json":
-        _emit_json(
-            {"max_n": max_total, "force": force},
-            [
-                {
-                    "family": r.name,
-                    "cases": r.cases,
-                    "failures": len(r.failures),
-                    "first_failure": r.failures[0] if r.failures else None,
-                }
-                for r in results
-            ],
-        )
-    else:
-        _emit_csv(
-            "family,cases,failures,first_failure",
-            (
-                f"{r.name},{r.cases},{len(r.failures)},"
-                f"{r.failures[0] if r.failures else ''}"
-                for r in results
-            ),
-        )
+    _emit(
+        fmt, {"max_n": max_total, "force": force},
+        ("family", "cases", "failures", "first_failure"),
+        ((r.name, r.cases, len(r.failures), r.failures[0] if r.failures else None)
+         for r in results),
+        lambda r: f"{r[0]},{r[1]},{r[2]},{r[3] or ''}",
+    )
     failed = [r for r in results if not r.ok]
     if failed:
         for r in failed:

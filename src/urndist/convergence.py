@@ -6,6 +6,13 @@ to the geometric distribution q^(n-1) p with q = 1 - p.  This module
 measures that convergence with total-variation distance, reported together
 with the largest single-point discrepancy.
 
+Both distances fall as 1/N at total N.  To first order in 1/N, N times
+the pmf gap at n tends to q^(n-1) p (n-1) (1 - p (n-2) / (2q)), which
+changes sign once, at n* = 2 + 2q/p.  So N*tv tends to
+c(p) = p M (M-1) q^(M-1) / 2 with M = floor(n*), and N*max_pointwise_error
+to the largest |term|; both are within 1/(pN) relative of their limits
+wherever pN >= 10 (0.33-0.53/(pN) measured for p <= 1/2).
+
 Every draw misses with chance (bad-i)/(total-i) <= q, so Fail(m) <= q^m, and
 both laws put at most q^(n-1) on any n and at most q^(N-1) on all n >= N
 together.  The scan runs over n = 1, 2, ... in blocks and stops before a

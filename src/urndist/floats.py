@@ -4,9 +4,10 @@ Mirrors the closed forms of :mod:`urndist.exact` in IEEE doubles so that
 tables, tail probabilities and convergence studies stay cheap however large
 the urn.  The domain is total < 2^511 (``TOTAL_LIMIT``); other totals
 raise ``ParameterError``.  The bounds below are verified for totals up to
-2^53 + 12345.  Log-probabilities are represented as plain floats (<= 0,
-with -inf standing for probability zero); exp(-inf) == 0.0 makes the
-out-of-support cases fall out naturally.
+2^510 + 12345 (past 2^53 against loggamma references at 2*bits + 200
+bits).  Log-probabilities are represented as plain floats (<= 0, with -inf
+standing for probability zero); exp(-inf) == 0.0 makes the out-of-support
+cases fall out naturally.
 
 Accuracy notes
 --------------

@@ -6,6 +6,8 @@ import pytest
 
 from urndist import ParameterError, PmfTable, UrnParams
 from urndist import checks
+from urndist.checks import FamilyResult
+from urndist.errors import ResourceGuardError
 
 
 class TestRunAll:
@@ -27,6 +29,15 @@ class TestRunAll:
     def test_trivial_bound(self):
         results = checks.run_all(1)
         assert all(r.ok for r in results)
+
+    def test_sweep_guard_is_exact_at_its_limit(self, monkeypatch):
+        # families stubbed out: the sweep at the limit itself takes ~10 s
+        for name in [n for n in vars(checks) if n.startswith("_check_")]:
+            monkeypatch.setattr(checks, name, lambda *args: FamilyResult("stub"))
+        assert len(checks.run_all(checks._SWEEP_LIMIT)) == 6
+        with pytest.raises(ResourceGuardError, match="force"):
+            checks.run_all(checks._SWEEP_LIMIT + 1)
+        assert len(checks.run_all(checks._SWEEP_LIMIT + 1, force=True)) == 6
 
     def test_bound_validated(self):
         with pytest.raises(ParameterError):

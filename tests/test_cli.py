@@ -52,6 +52,24 @@ def _refused_within_2s(*args):
     return out
 
 
+# how the CSV cells of each subcommand read back as its JSON values
+_CSV_CELLS = {
+    "table": (int, str, float, str, float),
+    "stats": (str, str, int, lambda s: [int(v) for v in s.split()],
+              lambda s: [int(v) for v in s.split("..")]),
+    "sample": (int,),
+    "converge": (int, int, float, float, float, int),
+    "check": (str, int, int, lambda s: s or None),
+}
+
+
+def _sample_case(method, case_id):
+    args = ("sample", "--n", "10000", "--k", "40", "--count", "20000",
+            "--method", method, "--seed", "7")
+    params = {"n": 10000, "k": 40, "count": 20000, "seed": 7, "method": method}
+    return pytest.param(args, params, id=case_id)
+
+
 class TestTable:
     def test_uniform_three_csv(self, runner):
         result = run(runner, "table", "--n", "3", "--k", "1")
@@ -77,19 +95,70 @@ class TestTable:
         assert payload["rows"][0]["pmf_exact"] == "3/10"
         assert isinstance(payload["rows"][0]["pmf_float"], float)
 
-    @pytest.mark.parametrize("total, good", [(2, 2), (10, 3), (70000, 3)])
-    def test_json_is_json_dumps_of_the_csv_rows(self, runner, total, good):
-        # (70000, 3) spans three float blocks and nine JSON write chunks
-        csv_out = run(runner, "table", "--n", str(total), "--k", str(good)).output
+    @pytest.mark.parametrize(
+        "args, params",
+        [
+            pytest.param(("table", "--n", "2", "--k", "2"), {"n": 2, "k": 2}, id="2-2"),
+            pytest.param(("table", "--n", "10", "--k", "3"), {"n": 10, "k": 3}, id="10-3"),
+            # spans three float blocks and nine JSON write chunks
+            pytest.param(("table", "--n", "70000", "--k", "3"), {"n": 70000, "k": 3},
+                         id="70000-3"),
+            # good = 1: every support point is a mode
+            pytest.param(("stats", "--n", "12", "--k", "1"), {"n": 12, "k": 1},
+                         id="stats-12-1"),
+            pytest.param(("stats", "--n", "1000", "--k", "7"), {"n": 1000, "k": 7},
+                         id="stats-1000-7"),
+            _sample_case("urn", "sample-urn"),
+            _sample_case("inverse", "sample-inverse"),
+            pytest.param(("converge", "--p-num", "1", "--p-den", "10", "--ns", "100,1000"),
+                         {"p": "1/10", "ns": [100, 1000]}, id="converge"),
+            pytest.param(("check", "--max-n", "6"), {"max_n": 6, "force": False}, id="check"),
+        ],
+    )
+    def test_json_is_json_dumps_of_the_csv_rows(self, runner, args, params):
+        lines = run(runner, *args).output.splitlines()
+        columns, cells = lines[0].split(","), _CSV_CELLS[args[0]]
         rows = [
-            {"n": int(n), "pmf_exact": pe, "pmf_float": float(pf),
-             "cdf_exact": ce, "cdf_float": float(cf)}
-            for n, pe, pf, ce, cf in (line.split(",") for line in csv_out.splitlines()[1:])
+            dict(zip(columns, (cell(v) for cell, v in zip(cells, line.split(",")))))
+            for line in lines[1:]
         ]
-        payload = {"schema_version": 1, "params": {"n": total, "k": good}, "rows": rows}
-        result = run(runner, "table", "--n", str(total), "--k", str(good), "--format", "json")
+        if len(columns) == 1:  # one column: the rows are bare values
+            rows = [row[columns[0]] for row in rows]
+        payload = {"schema_version": 1, "params": params, "rows": rows}
+        result = run(runner, *args, "--format", "json")
         assert result.exit_code == 0
         assert result.output == json.dumps(payload, indent=2) + "\n"
+
+    def test_csv_header_goes_out_with_the_first_row(self, monkeypatch):
+        # the first write is the header and row 1, made before row 2: a
+        # header written alone leaves stdout non-empty when row 1 fails, and
+        # one held for a full chunk holds row 1 back by 8191 rows
+        events = []
+        real_rows = cli_mod._table_rows
+
+        def recorded_rows(params):
+            for n, row in enumerate(real_rows(params), start=1):
+                events.append(("row", n))
+                yield row
+
+        class Stdout:
+            def write(self, text):
+                events.append(("write", text))
+                return len(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(cli_mod, "_table_rows", recorded_rows)
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        cli.main(args=["table", "--n", "70000", "--k", "3"], prog_name="urn",
+                 standalone_mode=False)
+        output = "".join(text for kind, text in events if kind == "write")
+        header, first, _ = output.split("\n", 2)
+        assert header == "n,pmf_exact,pmf_float,cdf_exact,cdf_float"
+        assert first.startswith("1,3/70000,")
+        assert events[:3] == [("row", 1), ("write", f"{header}\n{first}\n"), ("row", 2)]
+        assert len(output.splitlines()) == 70000 - 3 + 2
 
     def test_floats_have_17_significant_digits(self, runner):
         result = run(runner, "table", "--n", "3", "--k", "1")
@@ -398,10 +467,18 @@ class TestConverge:
         assert set(row) == {"N", "K", "p", "tv_distance", "max_pointwise_error", "at_n"}
 
     def test_json_bytes_are_json_dumps(self, runner):
-        result = run(runner, "converge", "--p-num", "1", "--p-den", "10",
-                     "--ns", "100,1000", "--format", "json")
-        assert result.exit_code == 0
-        assert json.dumps(json.loads(result.output), indent=2) + "\n" == result.output
+        for args in (
+            ("converge", "--p-num", "1", "--p-den", "10", "--ns", "100,1000"),
+            ("stats", "--n", "12", "--k", "1"),
+            ("stats", "--n", "1000", "--k", "7"),
+            # more than one write chunk
+            ("sample", "--n", "10", "--k", "3", "--count", "20000", "--method", "urn"),
+            ("sample", "--n", "10", "--k", "3", "--count", "20000", "--method", "inverse"),
+            ("check", "--max-n", "6"),
+        ):
+            result = run(runner, *args, "--format", "json")
+            assert result.exit_code == 0
+            assert json.dumps(json.loads(result.output), indent=2) + "\n" == result.output
 
     def test_benchmark_rows_pinned(self, runner):
         result = run(runner, "converge", "--p-num", "1", "--p-den", "10000",
@@ -433,6 +510,12 @@ class TestCheck:
 
     def test_trivial_bound_passes(self, runner):
         assert run(runner, "check", "--max-n", "1").exit_code == 0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_guard_exit_3(self, fmt):
+        out = _refused_within_2s("check", "--max-n", str(checks._SWEEP_LIMIT + 1),
+                                 "--format", fmt)
+        assert "--force" in out.stderr
 
     def test_json_families(self, runner):
         result = run(runner, "check", "--max-n", "6", "--format", "json")

@@ -142,6 +142,70 @@ class TestPointwiseLimit:
             assert pmf_float(UrnParams(total, total // 10), 1) == 0.1
 
 
+def _first_order_limits(p):
+    """(c, e): the limits of N*tv and N*max_err at fixed p as N grows.
+
+    To first order in 1/N, log((bad-i)/(total-i)) = log q - i*p/(q*N), so
+    N*(pmf(n) - geom(n)) tends to g(j) = p q^j j (1 - a (j-1)) with j = n-1
+    and a = p/(2q).  g is positive up to n* = 2 + 2q/p and negative past it,
+    and its sum over all j is q/p - q/p = 0 (from the sums of j q^j and
+    j(j-1) q^j), so c = sum |g|/2 = -(sum of g from M = floor(n*) on).
+    With the tails sum_{j>=M} j q^j = q^M (M/p + q/p^2) and
+    sum_{j>=M} j(j-1) q^j = q^M (M(M-1)/p + 2Mq/p^2 + 2q^2/p^3), that is
+    c = p M (M-1) q^(M-1) / 2.  e is |g| at an integer next to a root of
+    g'(j) = 0, the quadratic -a L j^2 + (L + a L - 2a) j + (1 + a) with
+    L = log q.  None of urndist's formulas enter.
+    """
+    q = 1.0 - p
+    a = p / (2.0 * q)
+    big_m = math.floor(2.0 + 2.0 * q / p)
+    c = p * big_m * (big_m - 1) * q ** (big_m - 1) / 2.0
+    log_q = math.log(q)
+    qa, qb, qc = -a * log_q, log_q + a * log_q - 2.0 * a, 1.0 + a
+    root = math.sqrt(qb * qb - 4.0 * qa * qc)
+    js = [
+        j
+        for r in ((-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa))
+        for j in (math.floor(r), math.ceil(r))
+        if j >= 0
+    ]
+    e = max(abs(p * q**j * j * (1.0 - a * (j - 1))) for j in js)
+    return c, e
+
+
+class TestFirstOrderRate:
+    """N*tv -> c(p) and N*max_err -> e(p), within 1/(pN) relative."""
+
+    @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(3, 7), Fraction(1, 10),
+                                   Fraction(1, 100)])
+    def test_closed_forms_equal_the_series(self, p):
+        q = 1.0 - float(p)
+        a = float(p) / (2.0 * q)
+        terms = [float(p) * q**j * j * (1.0 - a * (j - 1)) for j in range(int(1000 / p))]
+        c, e = _first_order_limits(float(p))
+        assert c == pytest.approx(0.5 * math.fsum(map(abs, terms)), rel=1e-12)
+        assert e == max(map(abs, terms))
+
+    @pytest.mark.parametrize(
+        "p, totals",
+        [
+            (Fraction(1, 2), [20, 2000, 200000]),
+            (Fraction(3, 7), [35, 7000, 700000]),
+            (Fraction(1, 10), [100, 10**4, 10**6]),
+            (Fraction(1, 100), [1000, 10**5]),
+            (Fraction(1, 10**4), [10**5, 10**6, 10**7]),
+        ],
+    )
+    def test_n_times_distance_tends_to_its_limit(self, p, totals):
+        # measured gaps: 0.33-0.53/(pN) for p <= 1/2
+        c, e = _first_order_limits(float(p))
+        for r in convergence_table(p, totals):
+            pn = float(p) * r.total
+            assert pn >= 10
+            assert abs(r.total * r.tv_distance / c - 1.0) <= 1.0 / pn, r
+            assert abs(r.total * r.max_pointwise_error / e - 1.0) <= 1.0 / pn, r
+
+
 def _full_scan(total, good):
     """Reference: every n of the support, fsum of |urn - geom|, plus q^size."""
     size = total - good + 1

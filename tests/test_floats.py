@@ -1,6 +1,7 @@
 """Float-layer accuracy against the exact layer and high-precision references."""
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -178,6 +179,36 @@ class TestDomain:
             floats.log_fail_block(total, 3, 1, 5)
         with pytest.raises(ParameterError):
             floats.log_fail_block(total, total - 4, 4, 1)  # the m = bad route
+
+
+class TestWholeDomain:
+    """The stated bounds against loggamma references up to 2^510 + 12345."""
+
+    @pytest.mark.parametrize("e", [60, 80, 120, 200, 300, 400, 510])
+    def test_within_the_stated_bounds(self, e):
+        total = 2**e + 12345
+        # the lgamma terms are ~total*bits while log Fail(1) at good = 1 is
+        # ~1/total, so the reference needs about 2*bits digits and a margin
+        lgamma = lambda x: mpmath.loggamma(mpmath.mpf(x) + 1)  # noqa: E731
+        with mpmath.workprec(2 * total.bit_length() + 200):
+            for good in (1, 3, 1000, total >> 20, total // 4, total // 2 + 7):
+                bad = total - good
+                params = UrnParams(total, good)
+                const = lgamma(total - good) - lgamma(total)
+                # m = 1, 2, bad/2, bad/2 + 1, bad - 1, bad: both ends and the middle
+                for m0 in (1, bad // 2, bad - 1):
+                    block = floats.log_fail_block(total, good, m0, 2)
+                    for m, got_block in zip((m0, m0 + 1), block.tolist()):
+                        lf = const + lgamma(total - m) - lgamma(bad - m)
+                        want = float(lf)
+                        for got in (log_fail(params, m), got_block):
+                            assert abs(got - want) <= 1e-13 * abs(want), (good, m, got)
+                        for got, ref in (
+                            (pmf_float(params, m + 1), mpmath.exp(lf) * good / (total - m)),
+                            (cdf_float(params, m), -mpmath.expm1(lf)),
+                        ):
+                            if ref >= sys.float_info.min:
+                                assert got == pytest.approx(float(ref), rel=1e-10, abs=0)
 
 
 class TestMomentFloats:
