@@ -53,12 +53,12 @@ def _all_params(max_total: int):
             yield UrnParams(total=total, good=good)
 
 
-def _check_pmf_oracle(max_total: int, force: bool) -> FamilyResult:
+def _check_pmf_oracle(max_total: int) -> FamilyResult:
+    # enumeration costs C(total, good) per urn, so it stops at its own limit
     result = FamilyResult("pmf-oracle")
-    bound = max_total if force else min(max_total, ENUMERATION_LIMIT)
-    for params in _all_params(bound):
+    for params in _all_params(min(max_total, ENUMERATION_LIMIT)):
         result.cases += 1
-        enumerated = enumerate_pmf(params, force=force)
+        enumerated = enumerate_pmf(params)
         closed = pmf_table(params)
         if enumerated.probabilities != closed.probabilities:
             mismatch = next(
@@ -228,7 +228,8 @@ def run_all(max_total: int, *, force: bool = False) -> list[FamilyResult]:
     """Run every verification family up to ``max_total``; order is stable.
 
     Refuses a ``max_total`` above ``_SWEEP_LIMIT`` before any family runs,
-    unless ``force`` is set; ``force`` also lifts the enumeration guard.
+    unless ``force`` is set.  The brute-force ``pmf-oracle`` family stops
+    at ``oracle.ENUMERATION_LIMIT`` whatever ``max_total`` and ``force`` are.
     """
     require_int("max total", max_total, 1)
     if max_total > _SWEEP_LIMIT and not force:
@@ -237,7 +238,7 @@ def run_all(max_total: int, *, force: bool = False) -> list[FamilyResult]:
             f"{_SWEEP_LIMIT}); pass force=True (urn check --force) to override"
         )
     return [
-        _check_pmf_oracle(max_total, force),
+        _check_pmf_oracle(max_total),
         _check_moments(max_total),
         _check_normalization_cdf(max_total),
         _check_pmf_shape(max_total),

@@ -1,6 +1,13 @@
 """Command-line front end: tables, statistics, samples, convergence reports
 and self-checks, as CSV or JSON on stdout.
 
+Parsing: argparse, with abbreviations off, so an option is accepted only
+under its full name, and with ``--help`` (no ``-h``) on ``urn`` and on
+every subcommand, printed to stdout with exit 0.  The runtime needs numpy
+and the standard library only, and loads what a command does not use only
+when it runs: ``urn check`` imports the self-check modules and JSON output
+imports ``json``.
+
 Output: each subcommand names its columns once and hands its rows to one
 writer, ``_emit``.  CSV is a header and one line per row, floats at 17
 significant digits.  JSON is {"schema_version": 1, "params": ..., "rows":
@@ -9,25 +16,22 @@ the columns (a bare value for one column).  Rows are streamed as they are
 made, and stdout stays empty when a command fails on its first row.
 
 Exit codes: 0 success, 2 usage or validation error, 3 resource guard
-tripped, 4 self-check failure.  Diagnostics go to stderr.  The environment
-variable URN_SEED supplies a default sampling seed (an explicit --seed
-always wins).
+tripped, 4 self-check failure.  Every error, a usage error included, is
+one ``error: ...`` line on stderr.  The environment variable URN_SEED
+supplies a default sampling seed (an explicit --seed always wins).
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import itertools
-import json
 import math
 import os
 import sys
+import types
 from fractions import Fraction
 
-import click
-
 from . import _kernels
-from . import checks as checks_mod
 from .convergence import convergence_table
 from .errors import ParameterError, ResourceGuardError, UrnError
 from .exact import (
@@ -48,7 +52,7 @@ from .sampler import sample_inverse_cdf_batch, sample_urn_walk_batch
 __all__ = ["cli", "main"]
 
 _TABLE_ROWS_LIMIT = 10**6
-_ECHO_CHUNK = 8192
+_ECHO_CHUNK = 1024
 # Largest expected urn-walk work, in lane-steps (one mixed word for one draw
 # at one step), that `sample --method urn` accepts.  On a 2-core Xeon the
 # largest accepted calls took 11 s extrapolated from 1M draws at (1e4, 40),
@@ -87,6 +91,8 @@ def _emit(fmt: str, params_obj: dict, columns: tuple[str, ...], rows, line) -> N
             out.write("\n".join(chunk) + "\n")
             del chunk  # free it before the next chunk is built
     else:
+        import json  # only JSON output needs it
+
         if len(columns) > 1:
             rows = (dict(zip(columns, row)) for row in rows)
         head = json.dumps({"schema_version": 1, "params": params_obj, "rows": []}, indent=2)
@@ -156,21 +162,6 @@ def _table_rows(params: UrnParams):
             yield n, f"{a // ga}/{full // ga}", pf, f"{(full - b) // gb}/{full // gb}", cf
 
 
-def _guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ResourceGuardError, MemoryError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
-        except (ParameterError, UrnError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-
-    return wrapper
-
-
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return seed
@@ -183,34 +174,38 @@ def _resolve_seed(seed: int | None) -> int:
     return 0
 
 
-_format_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["csv", "json"]),
-    default="csv",
-    show_default=True,
-    help="Output format on stdout.",
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not in the range x>=1")
+    return value
+
+
+_URN_OPTIONS = (
+    ("--n", dict(dest="total", type=int, required=True, help="Total objects in the urn.")),
+    ("--k", dict(dest="good", type=int, required=True, help="Number of good objects.")),
 )
+_FORMAT_OPTION = ("--format", dict(dest="fmt", choices=("csv", "json"), default="csv",
+                                   help="Output format on stdout (default: %(default)s)."))
+# subcommand name -> (function, options); every subcommand also takes --format
+_COMMANDS: dict[str, tuple] = {}
 
 
-def _urn_options(fn):
-    """--n, then --k: applied in reverse, as stacked decorators are."""
-    for name, dest, text in (("--k", "good", "Number of good objects."),
-                             ("--n", "total", "Total objects in the urn.")):
-        fn = click.option(name, dest, type=int, required=True, help=text)(fn)
-    return fn
+def _command(name: str, *options: tuple[str, dict]):
+    """Register the decorated function as subcommand ``name``; each option
+    is a flag and its ``add_argument`` keywords."""
+
+    def register(fn):
+        _COMMANDS[name] = fn, options
+        return fn
+
+    return register
 
 
-@click.group()
-def cli() -> None:
-    """Draws-until-first-success distribution for an urn sampled without
-    replacement: exact tables, statistics, samplers and verification."""
-
-
-@cli.command("table")
-@_urn_options
-@_format_option
-@_guarded
+@_command("table", *_URN_OPTIONS)
 def cmd_table(total: int, good: int, fmt: str) -> None:
     """Full distribution table: one row per support point.
 
@@ -234,10 +229,7 @@ def cmd_table(total: int, good: int, fmt: str) -> None:
     )
 
 
-@cli.command("stats")
-@_urn_options
-@_format_option
-@_guarded
+@_command("stats", *_URN_OPTIONS)
 def cmd_stats(total: int, good: int, fmt: str) -> None:
     """Summary statistics: mean, variance, median, mode and support."""
     params = UrnParams(total=total, good=good)
@@ -253,19 +245,14 @@ def cmd_stats(total: int, good: int, fmt: str) -> None:
     )
 
 
-@cli.command("sample")
-@_urn_options
-@click.option("--count", type=click.IntRange(min=1), required=True, help="Number of draws.")
-@click.option("--seed", type=int, default=None, help="RNG seed [default: $URN_SEED or 0].")
-@click.option(
-    "--method",
-    type=click.Choice(["urn", "inverse"]),
-    default="urn",
-    show_default=True,
-    help="urn: simulate the shrinking urn; inverse: invert the cdf.",
+@_command(
+    "sample", *_URN_OPTIONS,
+    ("--count", dict(type=_positive_int, required=True, help="Number of draws.")),
+    ("--seed", dict(type=int, default=None, help="RNG seed (default: $URN_SEED or 0).")),
+    ("--method", dict(choices=("urn", "inverse"), default="urn",
+                      help="urn: simulate the shrinking urn; inverse: invert the cdf "
+                           "(default: %(default)s).")),
 )
-@_format_option
-@_guarded
 def cmd_sample(
     total: int, good: int, count: int, seed: int | None, method: str, fmt: str
 ) -> None:
@@ -286,18 +273,13 @@ def cmd_sample(
     _emit(fmt, params_obj, ("value",), ints, str)
 
 
-@cli.command("converge")
-@click.option("--p-num", type=int, required=True, help="Numerator of the good fraction p.")
-@click.option("--p-den", type=int, required=True, help="Denominator of the good fraction p.")
-@click.option(
-    "--ns",
-    "totals_csv",
-    type=str,
-    required=True,
-    help="Comma-separated urn sizes, e.g. 100,1000,10000.",
+@_command(
+    "converge",
+    ("--p-num", dict(type=int, required=True, help="Numerator of the good fraction p.")),
+    ("--p-den", dict(type=int, required=True, help="Denominator of the good fraction p.")),
+    ("--ns", dict(dest="totals_csv", required=True,
+                  help="Comma-separated urn sizes, e.g. 100,1000,10000.")),
 )
-@_format_option
-@_guarded
 def cmd_converge(p_num: int, p_den: int, totals_csv: str, fmt: str) -> None:
     """Distance to the geometric law along a sequence of urn sizes."""
     if p_den <= 0 or p_num <= 0:
@@ -319,25 +301,19 @@ def cmd_converge(p_num: int, p_den: int, totals_csv: str, fmt: str) -> None:
     )
 
 
-@cli.command("check")
-@click.option(
-    "--max-n",
-    "max_total",
-    type=click.IntRange(min=1),
-    default=12,
-    show_default=True,
-    help="Upper bound of the verification sweep.",
+@_command(
+    "check",
+    ("--max-n", dict(dest="max_total", type=_positive_int, default=12,
+                     help="Upper bound of the verification sweep (default: %(default)s).")),
+    ("--force", dict(action="store_true",
+                     help="Lift the sweep size guard on --max-n (expensive above the "
+                          "default); the enumeration family keeps its own limit.")),
 )
-@click.option(
-    "--force",
-    is_flag=True,
-    help="Lift the enumeration and sweep size guards (expensive above the default).",
-)
-@_format_option
-@_guarded
 def cmd_check(max_total: int, force: bool, fmt: str) -> None:
     """Run the self-verification families and report pass/fail counts."""
-    results = checks_mod.run_all(max_total, force=force)
+    from . import checks
+
+    results = checks.run_all(max_total, force=force)
     _emit(
         fmt, {"max_n": max_total, "force": force},
         ("family", "cases", "failures", "first_failure"),
@@ -348,12 +324,58 @@ def cmd_check(max_total: int, force: bool, fmt: str) -> None:
     failed = [r for r in results if not r.ok]
     if failed:
         for r in failed:
-            click.echo(f"check failed [{r.name}]: {r.failures[0]}", err=True)
+            print(f"check failed [{r.name}]: {r.failures[0]}", file=sys.stderr)
         sys.exit(4)
 
 
-def main() -> None:
-    cli()
+class _Parser(argparse.ArgumentParser):
+    """Full option names only, ``--help`` without ``-h``, and a usage error
+    as one ``error: ...`` line on stderr with exit 2."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message: str):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(2)
+
+
+def _parser() -> _Parser:
+    parser = _Parser(
+        prog="urn",
+        description="Draws-until-first-success distribution for an urn sampled "
+                    "without replacement: exact tables, statistics, samplers and "
+                    "verification.",
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for name, (fn, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=fn.__doc__.splitlines()[0],
+                                  description=fn.__doc__)
+        for flag, kwargs in (*options, _FORMAT_OPTION):
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(run=fn)
+    return parser
+
+
+def main(args: list[str] | None = None) -> None:
+    """Run ``urn`` on ``args`` (``sys.argv[1:]`` when None) and map the
+    package's errors onto exit codes 2 and 3."""
+    options = vars(_parser().parse_args(args))
+    run = options.pop("run")
+    try:
+        run(**options)
+    except (ResourceGuardError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(3)
+    except UrnError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
+
+
+# click's call shape, cli.main(args=..., prog_name=..., standalone_mode=...),
+# which perfbench/layers.py makes; only args is used
+cli = types.SimpleNamespace(main=lambda args=None, **_click_options: main(args))
 
 
 if __name__ == "__main__":

@@ -39,6 +39,14 @@ class TestRunAll:
             checks.run_all(checks._SWEEP_LIMIT + 1)
         assert len(checks.run_all(checks._SWEEP_LIMIT + 1, force=True)) == 6
 
+    def test_force_lifts_only_the_sweep_guard(self):
+        # the brute-force family stays at the enumeration limit, whose cost
+        # doubles per unit of total: 20·21/2 urns, not 22·23/2
+        results = checks.run_all(22, force=True)
+        assert (results[0].name, results[0].cases) == ("pmf-oracle", 210)
+        assert results[1].cases == 253
+        assert all(r.ok for r in results)
+
     def test_bound_validated(self):
         with pytest.raises(ParameterError):
             checks.run_all(0)

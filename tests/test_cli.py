@@ -1,7 +1,9 @@
 """End-to-end CLI contract: flags, formats, exit codes, determinism."""
 
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -9,9 +11,10 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import dataclass
+from unittest import mock
 
 import pytest
-from click.testing import CliRunner
 
 import urndist
 from urndist import checks
@@ -23,9 +26,60 @@ from urndist.exact import UrnParams
 from urndist.floats import cdf_float, pmf_float
 
 
+class _Tee(io.BytesIO):
+    """A captured stream that also copies its bytes into ``mixed``."""
+
+    def __init__(self, mixed: io.BytesIO):
+        super().__init__()
+        self.mixed = mixed
+
+    def write(self, data):
+        self.mixed.write(data)
+        return super().write(data)
+
+
+@dataclass
+class _Result:
+    exit_code: int
+    stdout_bytes: bytes
+    stderr_bytes: bytes
+    output_bytes: bytes
+
+    stdout = property(lambda self: self.stdout_bytes.decode())
+    stderr = property(lambda self: self.stderr_bytes.decode())
+    # stdout and stderr interleaved, as a terminal shows them
+    output = property(lambda self: self.output_bytes.decode())
+
+
+class _Runner:
+    """Runs the CLI in process on an argv list.  ``env`` is laid over
+    os.environ for the call; stdout (with a ``.buffer``) and stderr are
+    captured; an exit status becomes ``exit_code``, and any other exception
+    exit code 1 unless ``catch_exceptions`` is false."""
+
+    def invoke(self, cli, args, env=None, catch_exceptions=True):
+        mixed = io.BytesIO()
+        out, err = _Tee(mixed), _Tee(mixed)
+        text_out, text_err = (io.TextIOWrapper(b, encoding="utf-8", write_through=True)
+                              for b in (out, err))
+        exit_code = 0
+        with mock.patch.dict(os.environ, env or {}), \
+                contextlib.redirect_stdout(text_out), contextlib.redirect_stderr(text_err):
+            try:
+                cli.main(args=list(args))
+            except SystemExit as exc:
+                code = exc.code
+                exit_code = code if isinstance(code, int) else int(code is not None)
+            except Exception:
+                if not catch_exceptions:
+                    raise
+                exit_code = 1
+        return _Result(exit_code, out.getvalue(), err.getvalue(), mixed.getvalue())
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return _Runner()
 
 
 def run(runner, *args, env=None):
@@ -50,6 +104,27 @@ def _refused_within_2s(*args):
     assert "Traceback" not in out.stderr
     assert len(out.stderr.splitlines()) == 1
     return out
+
+
+def _peak_rss_kb(*args):
+    """Peak RSS in kB of the CLI run on ``args`` in a fresh process, stdout
+    discarded.  A small launcher reads the child's own peak: a process
+    spawned from the test process would inherit its peak across exec."""
+    root = os.path.dirname(os.path.dirname(urndist.__file__))
+    launcher = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", launcher, sys.executable, "-m", "urndist.cli", *args],
+        env=dict(os.environ, PYTHONPATH=root),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return int(out.stdout)
 
 
 # how the CSV cells of each subcommand read back as its JSON values
@@ -100,7 +175,7 @@ class TestTable:
         [
             pytest.param(("table", "--n", "2", "--k", "2"), {"n": 2, "k": 2}, id="2-2"),
             pytest.param(("table", "--n", "10", "--k", "3"), {"n": 10, "k": 3}, id="10-3"),
-            # spans three float blocks and nine JSON write chunks
+            # spans three float blocks and 69 JSON write chunks
             pytest.param(("table", "--n", "70000", "--k", "3"), {"n": 70000, "k": 3},
                          id="70000-3"),
             # good = 1: every support point is a mode
@@ -132,7 +207,7 @@ class TestTable:
     def test_csv_header_goes_out_with_the_first_row(self, monkeypatch):
         # the first write is the header and row 1, made before row 2: a
         # header written alone leaves stdout non-empty when row 1 fails, and
-        # one held for a full chunk holds row 1 back by 8191 rows
+        # one held for a full chunk holds row 1 back by 1023 rows
         events = []
         real_rows = cli_mod._table_rows
 
@@ -238,28 +313,16 @@ class TestTable:
         assert cdf_column[-1] == 1.0
 
     def test_memory_does_not_grow_with_support(self):
-        # the child's own peak RSS, read by a small launcher: a process
-        # spawned from the test process would inherit its peak across exec
-        root = os.path.dirname(os.path.dirname(urndist.__file__))
-        launcher = (
-            "import resource, subprocess, sys\n"
-            "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)\n"
-            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
-        )
-
         def peak_kb(total):
-            out = subprocess.run(
-                [sys.executable, "-S", "-c", launcher, sys.executable, "-m",
-                 "urndist.cli", "table", "--n", str(total), "--k", "2"],
-                env=dict(os.environ, PYTHONPATH=root),
-                capture_output=True,
-                text=True,
-                timeout=120,
-                check=True,
-            )
-            return int(out.stdout)
+            return _peak_rss_kb("table", "--n", str(total), "--k", "2")
 
         assert peak_kb(300000) - peak_kb(100000) < 4 * 1024
+
+    def test_json_memory_close_to_csv(self):
+        # the JSON writer holds one chunk of row dicts and its text at a
+        # time: 8192-row chunks peaked 10.7 MB above CSV at this urn
+        args = ("table", "--n", "50000", "--k", "10", "--format")
+        assert _peak_rss_kb(*args, "json") - _peak_rss_kb(*args, "csv") < 3 * 1024
 
 
 class TestStats:
@@ -542,7 +605,7 @@ class TestCheck:
                 ),
             ]
 
-        monkeypatch.setattr("urndist.cli.checks_mod.run_all", fake_run_all)
+        monkeypatch.setattr("urndist.checks.run_all", fake_run_all)
         result = runner.invoke(cli, ["check", "--max-n", "4"])
         assert result.exit_code == 4
         assert "total=4" in result.stderr
@@ -566,6 +629,27 @@ class TestImport:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_imports_are_lazy(self):
+        # urndist alone loads no numpy; urndist.cli loads neither click nor
+        # what only `check` and JSON output use; every public name resolves
+        code = (
+            "import sys, urndist\n"
+            "print('numpy' in sys.modules)\n"
+            "import urndist.cli\n"
+            "print([m for m in ('click', 'json', 'urndist.checks', 'urndist.oracle')"
+            " if m in sys.modules])\n"
+            "print([name for name in urndist.__all__ if not hasattr(urndist, name)])\n"
+        )
+        root = os.path.dirname(os.path.dirname(urndist.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=root),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.splitlines() == ["False", "[]", "[]"]
+
     def test_declared_dependencies_are_the_imported_ones(self):
         # every third-party package the runtime imports is declared in
         # pyproject.toml, and every declared one is imported
@@ -584,7 +668,7 @@ class TestImport:
                 elif isinstance(node, ast.ImportFrom) and not node.level:
                     imported.add(node.module.split(".")[0])
         third_party = imported - set(sys.stdlib_module_names) - {"__future__"}
-        assert declared == third_party == {"numpy", "click"}
+        assert declared == third_party == {"numpy"}
 
     def test_integer_checks_live_in_errors_only(self):
         # every integer argument goes through errors.require_int, so no
@@ -607,6 +691,51 @@ class TestImport:
                 ):
                     found.append(f"{path.name}:{node.lineno}")
         assert found == []
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("table", "--n", "10"),
+            ("sample", "--n", "10", "--k", "3", "--count", "1", "--method", "alias"),
+            ("sample", "--n", "10", "--k", "3", "--count", "0"),
+            ("table", "--n", "abc", "--k", "3"),
+            ("check", "--max-n", "0"),
+            ("tabel", "--n", "10", "--k", "3"),
+            (),
+            # options are accepted under their full names only
+            ("table", "--n", "10", "--k", "3", "--form", "json"),
+        ],
+        ids=["missing-k", "unknown-method", "count-0", "n-not-int", "max-n-0",
+             "unknown-command", "no-command", "abbreviated-option"],
+    )
+    def test_usage_error_is_one_line_exit_2(self, runner, args):
+        result = run(runner, *args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ((), ("table", "stats", "sample", "converge", "check")),
+            (("table",), ("--n", "--k", "--format")),
+            (("stats",), ("--n", "--k", "--format")),
+            (("sample",), ("--n", "--k", "--count", "--seed", "--method", "--format")),
+            (("converge",), ("--p-num", "--p-den", "--ns", "--format")),
+            (("check",), ("--max-n", "--force", "--format")),
+        ],
+        ids=["urn", "table", "stats", "sample", "converge", "check"],
+    )
+    def test_help_exits_0_and_names_every_option(self, runner, command, options):
+        result = run(runner, *command, "--help")
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        for name in (*options, "--help"):
+            assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", result.stdout), name
 
 
 class TestFloatDomain:
