@@ -22,6 +22,7 @@ _SUBMODULE = {name: module for module, names in {
     "sampler": "inverse_cdf sample_inverse_cdf sample_inverse_cdf_batch sample_urn_walk "
                "sample_urn_walk_batch",
 }.items() for name in names.split()}
+__all__ = list(_SUBMODULE)
 
 
 def __getattr__(name: str):
@@ -33,43 +34,3 @@ def __getattr__(name: str):
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConvergenceRecord",
-    "EmpiricalPmf",
-    "ENUMERATION_LIMIT",
-    "ParameterError",
-    "PmfTable",
-    "ResourceGuardError",
-    "SamplerState",
-    "UrnError",
-    "UrnParams",
-    "binomial",
-    "cdf",
-    "cdf_float",
-    "convergence_table",
-    "enumerate_pmf",
-    "fail_probability",
-    "geometric_pmf",
-    "inverse_cdf",
-    "log_fail",
-    "mc_estimate",
-    "mean",
-    "mean_float",
-    "median",
-    "mode",
-    "pmf",
-    "pmf_float",
-    "pmf_table",
-    "sample_inverse_cdf",
-    "sample_inverse_cdf_batch",
-    "sample_urn_walk",
-    "sample_urn_walk_batch",
-    "sum_binom_closed",
-    "sum_binom_from_closed",
-    "sum_j_binom_closed",
-    "support",
-    "tv_distance",
-    "variance",
-    "variance_float",
-]

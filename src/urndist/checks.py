@@ -2,8 +2,13 @@
 
 Each family re-derives a property of the distribution by an independent
 route (brute-force enumeration, direct summation, cdf scans) and compares
-it against the closed forms, exactly.  A family stops at its first
-counterexample; the CLI turns any failure into a nonzero exit.
+it against the closed forms, exactly.  The per-urn families share one
+sweep over the urns, total ascending and then good, which builds each
+urn's exact ``pmf_table`` once and hands it to every family still running:
+a family checks one urn and its table and returns its first-failure
+message or None, and is not called again after its first failure.  The
+summation lemmas have their own (k, n, x) sweep.  The CLI turns any
+failure into a nonzero exit.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from fractions import Fraction
 
 from .errors import ResourceGuardError, require_int
 from .exact import (
+    PmfTable,
     UrnParams,
     binomial,
     cdf,
@@ -30,9 +36,10 @@ from .oracle import ENUMERATION_LIMIT, enumerate_pmf
 __all__ = ["FamilyResult", "run_all"]
 
 # Largest max_total that a sweep accepts without force.  Its cost grows
-# between max_total^2 and max_total^3: on a 2-core Xeon the sweep took 0.5 s
-# at 30, 2.2 s at 60 and 7.6 s at 100 in process, and `urn check --max-n`
-# took 9.1-10.2 s at 105, 10.9-11.6 s at 110 and 15.8 s at 120.
+# between max_total^2 and max_total^3: on a 2-core Xeon VM under Python
+# 3.11, the sweep took 0.6 s at 30, 2.2 s at 60, 9.8 s at 100 and 10.8-11.2 s
+# at 105 in process, and a cold `urn check --max-n` (no cached bytecode,
+# unbuffered stdout) took 8.4-10.6 s at 105, 11.5 s at 110 and 13.5 s at 120.
 _SWEEP_LIMIT = 105
 
 
@@ -47,145 +54,103 @@ class FamilyResult:
         return not self.failures
 
 
-def _all_params(max_total: int):
-    for total in range(1, max_total + 1):
-        for good in range(1, total + 1):
-            yield UrnParams(total=total, good=good)
-
-
-def _check_pmf_oracle(max_total: int) -> FamilyResult:
-    # enumeration costs C(total, good) per urn, so it stops at its own limit
-    result = FamilyResult("pmf-oracle")
-    for params in _all_params(min(max_total, ENUMERATION_LIMIT)):
-        result.cases += 1
-        enumerated = enumerate_pmf(params)
-        closed = pmf_table(params)
-        if enumerated.probabilities != closed.probabilities:
-            mismatch = next(
-                n
-                for n, (a, b) in enumerate(
-                    zip(enumerated.probabilities, closed.probabilities), start=1
-                )
-                if a != b
-            )
-            result.failures.append(
-                f"pmf mismatch at total={params.total} good={params.good} "
-                f"n={mismatch}: enumeration {enumerated.probabilities[mismatch - 1]} "
-                f"vs closed form {closed.probabilities[mismatch - 1]}"
-            )
-            return result
-    return result
-
-
-def _check_moments(max_total: int) -> FamilyResult:
-    result = FamilyResult("moments")
-    for params in _all_params(max_total):
-        result.cases += 1
-        table = pmf_table(params)
-        if table.mean() != mean(params):
-            result.failures.append(
-                f"mean mismatch at total={params.total} good={params.good}: "
-                f"sum n*P(n) = {table.mean()} vs closed form {mean(params)}"
-            )
-            return result
-        if table.variance() != variance(params):
-            result.failures.append(
-                f"variance mismatch at total={params.total} good={params.good}: "
-                f"table gives {table.variance()} vs closed form {variance(params)}"
-            )
-            return result
-    return result
-
-
-def _check_normalization_cdf(max_total: int) -> FamilyResult:
-    result = FamilyResult("normalization-cdf")
-    for params in _all_params(max_total):
-        result.cases += 1
-        table = pmf_table(params)
-        if table.total_mass() != 1:
-            result.failures.append(
-                f"pmf does not sum to 1 at total={params.total} "
-                f"good={params.good}: {table.total_mass()}"
-            )
-            return result
-        prefix = Fraction(0)
-        for n, p in enumerate(table.probabilities, start=1):
-            prefix += p
-            if cdf(params, n) != prefix:
-                result.failures.append(
-                    f"cdf mismatch at total={params.total} good={params.good} "
-                    f"n={n}: cdf {cdf(params, n)} vs prefix sum {prefix}"
-                )
-                return result
-        if cdf(params, params.support_size) != 1:
-            result.failures.append(
-                f"cdf does not reach 1 at total={params.total} good={params.good}"
-            )
-            return result
-    return result
-
-
-def _check_pmf_shape(max_total: int) -> FamilyResult:
-    result = FamilyResult("pmf-shape")
-    for params in _all_params(max_total):
-        result.cases += 1
-        table = pmf_table(params)
-        probs = table.probabilities
-        total, good = params.total, params.good
-        if good == 1:
-            flat = Fraction(1, total)
-            if any(p != flat for p in probs):
-                result.failures.append(
-                    f"good=1 pmf not constant 1/{total} at total={total}"
-                )
-                return result
-        else:
-            for n in range(1, len(probs)):
-                # strictly decreasing, with the stated ratio P(n)/P(n+1)
-                if not (
-                    probs[n - 1] > probs[n]
-                    and probs[n - 1] * (total - n + 1 - good)
-                    == probs[n] * (total - n)
-                ):
-                    result.failures.append(
-                        f"pmf shape violated at total={total} good={good} n={n}"
-                    )
-                    return result
-        top = max(probs)
-        argmax = frozenset(n for n, p in enumerate(probs, start=1) if p == top)
-        if argmax != mode(params):
-            # CSV output forbids commas; render the sets space-separated
-            shown = " ".join(map(str, sorted(argmax)))
-            expected = " ".join(map(str, sorted(mode(params))))
-            result.failures.append(
-                f"mode mismatch at total={total} good={good}: "
-                f"argmax {{{shown}}} vs mode() {{{expected}}}"
-            )
-            return result
-    return result
-
-
-def _check_median(max_total: int) -> FamilyResult:
-    result = FamilyResult("median")
-    for params in _all_params(max_total):
-        result.cases += 1
-        total, good = params.total, params.good
-        m = median(params)
-        full = binomial(total, good)
-        ok_binom = 2 * binomial(total - m, good) <= full and (
-            m == 1 or 2 * binomial(total - m + 1, good) > full
+def _check_pmf_oracle(params: UrnParams, table: PmfTable) -> str | None:
+    # enumeration costs C(total, good) per urn, so the sweep stops this
+    # family at its own limit
+    enumerated = enumerate_pmf(params).probabilities
+    if enumerated != table.probabilities:
+        n, a, b = next(
+            (n, a, b)
+            for n, (a, b) in enumerate(zip(enumerated, table.probabilities), start=1)
+            if a != b
         )
-        by_scan = next(
-            n for n in range(1, params.support_size + 1)
-            if cdf(params, n) >= Fraction(1, 2)
+        return (
+            f"pmf mismatch at total={params.total} good={params.good} "
+            f"n={n}: enumeration {a} vs closed form {b}"
         )
-        if not ok_binom or by_scan != m:
-            result.failures.append(
-                f"median mismatch at total={total} good={good}: median() = {m}; "
-                f"cdf scan = {by_scan}; binomial test {'ok' if ok_binom else 'failed'}"
+    return None
+
+
+def _check_moments(params: UrnParams, table: PmfTable) -> str | None:
+    if table.mean() != mean(params):
+        return (
+            f"mean mismatch at total={params.total} good={params.good}: "
+            f"sum n*P(n) = {table.mean()} vs closed form {mean(params)}"
+        )
+    if table.variance() != variance(params):
+        return (
+            f"variance mismatch at total={params.total} good={params.good}: "
+            f"table gives {table.variance()} vs closed form {variance(params)}"
+        )
+    return None
+
+
+def _check_normalization_cdf(params: UrnParams, table: PmfTable) -> str | None:
+    if table.total_mass() != 1:
+        return (
+            f"pmf does not sum to 1 at total={params.total} "
+            f"good={params.good}: {table.total_mass()}"
+        )
+    prefix = Fraction(0)
+    for n, p in enumerate(table.probabilities, start=1):
+        prefix += p
+        if cdf(params, n) != prefix:
+            return (
+                f"cdf mismatch at total={params.total} good={params.good} "
+                f"n={n}: cdf {cdf(params, n)} vs prefix sum {prefix}"
             )
-            return result
-    return result
+    if cdf(params, params.support_size) != 1:
+        return f"cdf does not reach 1 at total={params.total} good={params.good}"
+    return None
+
+
+def _check_pmf_shape(params: UrnParams, table: PmfTable) -> str | None:
+    probs = table.probabilities
+    total, good = params.total, params.good
+    if good == 1:
+        flat = Fraction(1, total)
+        if any(p != flat for p in probs):
+            return f"good=1 pmf not constant 1/{total} at total={total}"
+    else:
+        for n in range(1, len(probs)):
+            # strictly decreasing, with the stated ratio P(n)/P(n+1)
+            if not (
+                probs[n - 1] > probs[n]
+                and probs[n - 1] * (total - n + 1 - good) == probs[n] * (total - n)
+            ):
+                return f"pmf shape violated at total={total} good={good} n={n}"
+    top = max(probs)
+    argmax = frozenset(n for n, p in enumerate(probs, start=1) if p == top)
+    if argmax != frozenset(mode(params)):
+        # CSV output forbids commas; render the sets space-separated
+        shown = " ".join(map(str, sorted(argmax)))
+        expected = " ".join(map(str, mode(params)))
+        return (
+            f"mode mismatch at total={total} good={good}: "
+            f"argmax {{{shown}}} vs mode() {{{expected}}}"
+        )
+    return None
+
+
+def _check_median(params: UrnParams, table: PmfTable) -> str | None:
+    # by the binomial characterization and by a scan of the closed-form
+    # cdf, neither of which reads the table
+    total, good = params.total, params.good
+    m = median(params)
+    full = binomial(total, good)
+    ok_binom = 2 * binomial(total - m, good) <= full and (
+        m == 1 or 2 * binomial(total - m + 1, good) > full
+    )
+    by_scan = next(
+        n for n in range(1, params.support_size + 1)
+        if cdf(params, n) >= Fraction(1, 2)
+    )
+    if not ok_binom or by_scan != m:
+        return (
+            f"median mismatch at total={total} good={good}: median() = {m}; "
+            f"cdf scan = {by_scan}; binomial test {'ok' if ok_binom else 'failed'}"
+        )
+    return None
 
 
 def _check_sum_identities(max_total: int) -> FamilyResult:
@@ -237,11 +202,26 @@ def run_all(max_total: int, *, force: bool = False) -> list[FamilyResult]:
             f"the check sweep up to total={max_total} is refused (max total > "
             f"{_SWEEP_LIMIT}); pass force=True (urn check --force) to override"
         )
-    return [
-        _check_pmf_oracle(max_total),
-        _check_moments(max_total),
-        _check_normalization_cdf(max_total),
-        _check_pmf_shape(max_total),
-        _check_median(max_total),
-        _check_sum_identities(max_total),
+    # the per-urn families in report order, each with the largest total it
+    # sweeps; the checks are read from the module on each call, so a test
+    # can stub them
+    per_urn = [
+        (FamilyResult("pmf-oracle"), _check_pmf_oracle, ENUMERATION_LIMIT),
+        (FamilyResult("moments"), _check_moments, max_total),
+        (FamilyResult("normalization-cdf"), _check_normalization_cdf, max_total),
+        (FamilyResult("pmf-shape"), _check_pmf_shape, max_total),
+        (FamilyResult("median"), _check_median, max_total),
     ]
+    urns = (UrnParams(total, good)  # total ascending, then good
+            for total in range(1, max_total + 1) for good in range(1, total + 1))
+    for params in urns:
+        running = [(result, check) for result, check, limit in per_urn
+                   if result.ok and params.total <= limit]
+        if not running:
+            break
+        table = pmf_table(params)
+        for result, check in running:
+            result.cases += 1
+            if (failure := check(params, table)) is not None:
+                result.failures.append(failure)
+    return [result for result, _, _ in per_urn] + [_check_sum_identities(max_total)]

@@ -10,10 +10,12 @@ imports ``json``.
 
 Output: each subcommand names its columns once and hands its rows to one
 writer, ``_emit``.  CSV is a header and one line per row, floats at 17
-significant digits.  JSON is {"schema_version": 1, "params": ..., "rows":
+significant digits.  JSON is {"schema_version": 2, "params": ..., "rows":
 [...]} as json.dumps(indent=2) prints it, a row being an object keyed by
-the columns (a bare value for one column).  Rows are streamed as they are
-made, and stdout stays empty when a command fails on its first row.
+the columns (a bare value for one column).  An interval of draws (the
+``stats`` mode and support) is a..b in CSV and [a, b] in JSON.  Rows are
+streamed as they are made, and stdout stays empty when a command fails on
+its first row.
 
 Exit codes: 0 success, 2 usage or validation error, 3 resource guard
 tripped, 4 self-check failure.  Every error, a usage error included, is
@@ -95,7 +97,7 @@ def _emit(fmt: str, params_obj: dict, columns: tuple[str, ...], rows, line) -> N
 
         if len(columns) > 1:
             rows = (dict(zip(columns, row)) for row in rows)
-        head = json.dumps({"schema_version": 1, "params": params_obj, "rows": []}, indent=2)
+        head = json.dumps({"schema_version": 2, "params": params_obj, "rows": []}, indent=2)
         head = head[: -len("[]\n}")]
         opening = "["
         while chunk := list(itertools.islice(rows, _ECHO_CHUNK)):
@@ -235,13 +237,13 @@ def cmd_stats(total: int, good: int, fmt: str) -> None:
     params = UrnParams(total=total, good=good)
     row = (
         _frac(mean(params)), _frac(variance(params)), median(params),
-        sorted(mode(params)), support(params),
+        mode(params), support(params),
     )
     _emit(
         fmt, {"n": total, "k": good},
         ("mean", "variance", "median", "mode", "support"),
         [row],
-        lambda r: f"{r[0]},{r[1]},{r[2]},{' '.join(map(str, r[3]))},{r[4][0]}..{r[4][-1]}",
+        lambda r: f"{r[0]},{r[1]},{r[2]},{r[3][0]}..{r[3][-1]},{r[4][0]}..{r[4][-1]}",
     )
 
 

@@ -12,6 +12,8 @@ raises ``ParameterError``, which the CLI turns into exit 2.
 
 from __future__ import annotations
 
+__all__ = ["ParameterError", "ResourceGuardError", "UrnError", "require_int"]
+
 
 class UrnError(Exception):
     """Base class for all errors raised by urndist."""

@@ -175,16 +175,16 @@ def median(params: UrnParams) -> int:
     return hi
 
 
-def mode(params: UrnParams) -> frozenset[int]:
-    """Most probable outcome(s).
+def mode(params: UrnParams) -> range:
+    """Most probable outcome(s), as a range of draws.
 
-    {1} whenever good > 1 (the mass function strictly decreases); for
-    good = 1 the distribution is uniform with mass 1/total everywhere, so
-    every outcome ties and the whole support is returned.
+    range(1, 2) whenever good > 1 (the mass function strictly decreases);
+    for good = 1 the distribution is uniform with mass 1/total everywhere,
+    so every outcome ties and the mode is the whole support.
     """
     if params.good > 1:
-        return frozenset({1})
-    return frozenset(support(params))
+        return range(1, 2)
+    return support(params)
 
 
 @dataclass(frozen=True)

@@ -46,17 +46,17 @@ class EmpiricalPmf:
         )
 
 
-def enumerate_pmf(params: UrnParams, *, force: bool = False) -> PmfTable:
+def enumerate_pmf(params: UrnParams) -> PmfTable:
     """Exact mass function by exhaustive enumeration of good-object placements.
 
     The first success happens on draw n exactly when the minimum of the
     good positions is n, so each subset contributes to one support point.
-    Refuses totals above ``ENUMERATION_LIMIT`` unless ``force`` is set.
+    Refuses totals above ``ENUMERATION_LIMIT``.
     """
-    if params.total > ENUMERATION_LIMIT and not force:
+    if params.total > ENUMERATION_LIMIT:
         raise ResourceGuardError(
             f"enumeration over C({params.total}, {params.good}) placements "
-            f"refused (total > {ENUMERATION_LIMIT}); pass force=True to override"
+            f"refused (total > {ENUMERATION_LIMIT})"
         )
     counts = [0] * params.support_size
     for subset in combinations(range(1, params.total + 1), params.good):

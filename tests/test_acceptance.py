@@ -108,9 +108,7 @@ def desk_sweep():
             if s0 != 1 or not prefix_ok or cdf(params, params.support_size) != 1:
                 out["normalization_cdf"].append(f"total={total} good={good}")
 
-            expected_mode = (
-                frozenset({1}) if good > 1 else frozenset(support(params))
-            )
+            expected_mode = range(1, 2) if good > 1 else support(params)
             if not shape_ok or mode(params) != expected_mode:
                 out["shape_mode"].append(f"total={total} good={good}")
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from urndist import ParameterError, PmfTable, UrnParams
-from urndist import checks
+from urndist import checks, cli
 from urndist.checks import FamilyResult
 from urndist.errors import ResourceGuardError
 
@@ -88,3 +88,64 @@ class TestRunAll:
         for result in checks.run_all(6):
             for message in result.failures:
                 assert "," not in message
+
+
+class TestPinnedOutput:
+    """The report as five separate per-family sweeps wrote it: the one
+    sweep over the urns keeps every family's cases and first failure."""
+
+    @pytest.mark.parametrize(
+        "args, rows",
+        [
+            (("1",), "pmf-oracle,1,0,\nmoments,1,0,\nnormalization-cdf,1,0,\n"
+                     "pmf-shape,1,0,\nmedian,1,0,\nlemma-sums,7,0,\n"),
+            (("6",), "pmf-oracle,21,0,\nmoments,21,0,\nnormalization-cdf,21,0,\n"
+                     "pmf-shape,21,0,\nmedian,21,0,\nlemma-sums,112,0,\n"),
+            (("12",), "pmf-oracle,78,0,\nmoments,78,0,\nnormalization-cdf,78,0,\n"
+                      "pmf-shape,78,0,\nmedian,78,0,\nlemma-sums,546,0,\n"),
+            (("30",), "pmf-oracle,210,0,\nmoments,465,0,\nnormalization-cdf,465,0,\n"
+                      "pmf-shape,465,0,\nmedian,465,0,\nlemma-sums,5952,0,\n"),
+            (("22", "--force"),
+             "pmf-oracle,210,0,\nmoments,253,0,\nnormalization-cdf,253,0,\n"
+             "pmf-shape,253,0,\nmedian,253,0,\nlemma-sums,2576,0,\n"),
+        ],
+        ids=["1", "6", "12", "30", "22-force"],
+    )
+    def test_check_csv_pinned(self, capsys, args, rows):
+        cli.main(["check", "--max-n", *args])
+        assert capsys.readouterr().out == "family,cases,failures,first_failure\n" + rows
+
+    def test_first_failures_at_different_urns_pinned(self, monkeypatch):
+        # moments fails at (21, 3) on a wrong mean, normalization-cdf at
+        # (22, 5) on a wrong total mass and pmf-shape at (24, 2) on two
+        # swapped entries; each family stops at its own first failure and
+        # the others sweep on
+        from urndist.exact import pmf_table as real
+
+        class MeanOff(PmfTable):
+            def mean(self):
+                return super().mean() + Fraction(1, 1000)
+
+        class MassOff(PmfTable):
+            def total_mass(self):
+                return 2 * super().total_mass()
+
+        def corrupted_table(params):
+            urn = (params.total, params.good)
+            probs = list(real(params).probabilities)
+            if urn == (24, 2):
+                probs[0], probs[1] = probs[1], probs[0]
+            table = {(21, 3): MeanOff, (22, 5): MassOff}.get(urn, PmfTable)
+            return table(params=params, probabilities=tuple(probs))
+
+        monkeypatch.setattr(checks, "pmf_table", corrupted_table)
+        results = [(r.name, r.cases, r.failures) for r in checks.run_all(26)]
+        assert results == [
+            ("pmf-oracle", 210, []),
+            ("moments", 213, ["mean mismatch at total=21 good=3: "
+                              "sum n*P(n) = 5501/1000 vs closed form 11/2"]),
+            ("normalization-cdf", 236, ["pmf does not sum to 1 at total=22 good=5: 2"]),
+            ("pmf-shape", 278, ["pmf shape violated at total=24 good=2 n=1"]),
+            ("median", 351, []),
+            ("lemma-sums", 4032, []),
+        ]

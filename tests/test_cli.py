@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -20,7 +21,7 @@ import urndist
 from urndist import checks
 from urndist import cli as cli_mod
 from urndist.checks import FamilyResult
-from urndist.cli import _require_printable, _require_walk_budget, cli
+from urndist.cli import _require_printable, _require_walk_budget, main
 from urndist.errors import ResourceGuardError
 from urndist.exact import UrnParams
 from urndist.floats import cdf_float, pmf_float
@@ -52,12 +53,12 @@ class _Result:
 
 
 class _Runner:
-    """Runs the CLI in process on an argv list.  ``env`` is laid over
+    """Runs ``cli.main`` in process on an argv list.  ``env`` is laid over
     os.environ for the call; stdout (with a ``.buffer``) and stderr are
     captured; an exit status becomes ``exit_code``, and any other exception
     exit code 1 unless ``catch_exceptions`` is false."""
 
-    def invoke(self, cli, args, env=None, catch_exceptions=True):
+    def invoke(self, args, env=None, catch_exceptions=True):
         mixed = io.BytesIO()
         out, err = _Tee(mixed), _Tee(mixed)
         text_out, text_err = (io.TextIOWrapper(b, encoding="utf-8", write_through=True)
@@ -66,7 +67,7 @@ class _Runner:
         with mock.patch.dict(os.environ, env or {}), \
                 contextlib.redirect_stdout(text_out), contextlib.redirect_stderr(text_err):
             try:
-                cli.main(args=list(args))
+                main(list(args))
             except SystemExit as exc:
                 code = exc.code
                 exit_code = code if isinstance(code, int) else int(code is not None)
@@ -83,7 +84,7 @@ def runner():
 
 
 def run(runner, *args, env=None):
-    return runner.invoke(cli, list(args), env=env, catch_exceptions=False)
+    return runner.invoke(list(args), env=env, catch_exceptions=False)
 
 
 def _refused_within_2s(*args):
@@ -104,6 +105,23 @@ def _refused_within_2s(*args):
     assert "Traceback" not in out.stderr
     assert len(out.stderr.splitlines()) == 1
     return out
+
+
+def _stats_row_within_2s(total, good):
+    """Run `urn stats` in a fresh process; it must exit 0 within 2 s.
+    Returns its CSV row."""
+    root = os.path.dirname(os.path.dirname(urndist.__file__))
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "urndist.cli", "stats", "--n", str(total), "--k", str(good)],
+        env=dict(os.environ, PYTHONPATH=root),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 2.0
+    assert out.returncode == 0
+    return out.stdout.splitlines()[1]
 
 
 def _peak_rss_kb(*args):
@@ -130,7 +148,7 @@ def _peak_rss_kb(*args):
 # how the CSV cells of each subcommand read back as its JSON values
 _CSV_CELLS = {
     "table": (int, str, float, str, float),
-    "stats": (str, str, int, lambda s: [int(v) for v in s.split()],
+    "stats": (str, str, int, lambda s: [int(v) for v in s.split("..")],
               lambda s: [int(v) for v in s.split("..")]),
     "sample": (int,),
     "converge": (int, int, float, float, float, int),
@@ -164,7 +182,7 @@ class TestTable:
     def test_json_schema_and_first_record(self, runner):
         result = run(runner, "table", "--n", "10", "--k", "3", "--format", "json")
         payload = json.loads(result.output)
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["params"] == {"n": 10, "k": 3}
         assert len(payload["rows"]) == 8
         assert payload["rows"][0]["pmf_exact"] == "3/10"
@@ -199,7 +217,7 @@ class TestTable:
         ]
         if len(columns) == 1:  # one column: the rows are bare values
             rows = [row[columns[0]] for row in rows]
-        payload = {"schema_version": 1, "params": params, "rows": rows}
+        payload = {"schema_version": 2, "params": params, "rows": rows}
         result = run(runner, *args, "--format", "json")
         assert result.exit_code == 0
         assert result.output == json.dumps(payload, indent=2) + "\n"
@@ -226,8 +244,7 @@ class TestTable:
 
         monkeypatch.setattr(cli_mod, "_table_rows", recorded_rows)
         monkeypatch.setattr(sys, "stdout", Stdout())
-        cli.main(args=["table", "--n", "70000", "--k", "3"], prog_name="urn",
-                 standalone_mode=False)
+        main(["table", "--n", "70000", "--k", "3"])
         output = "".join(text for kind, text in events if kind == "write")
         header, first, _ = output.split("\n", 2)
         assert header == "n,pmf_exact,pmf_float,cdf_exact,cdf_float"
@@ -330,14 +347,14 @@ class TestStats:
         result = run(runner, "stats", "--n", "10", "--k", "3")
         lines = result.output.splitlines()
         assert lines[0] == "mean,variance,median,mode,support"
-        assert lines[1] == "11/4,231/80,2,1,1..8"
+        assert lines[1] == "11/4,231/80,2,1..1,1..8"
 
     def test_uniform_variance(self, runner):
         result = run(runner, "stats", "--n", "9", "--k", "1")
         row = result.output.splitlines()[1].split(",")
         assert row[0] == "5/1"
         assert row[1] == "20/3"
-        assert row[3] == "1 2 3 4 5 6 7 8 9"
+        assert row[3] == "1..9"
 
     def test_degenerate_json(self, runner):
         result = run(runner, "stats", "--n", "5", "--k", "5", "--format", "json")
@@ -346,7 +363,7 @@ class TestStats:
             "mean": "1/1",
             "variance": "0/1",
             "median": 1,
-            "mode": [1],
+            "mode": [1, 1],
             "support": [1, 1],
         }
 
@@ -356,19 +373,13 @@ class TestStats:
     def test_median_at_huge_binomial_within_2s(self):
         # C(10**6, 5*10**5) has about 300k digits; the median, 1, must not
         # need it
-        root = os.path.dirname(os.path.dirname(urndist.__file__))
-        start = time.perf_counter()
-        out = subprocess.run(
-            [sys.executable, "-m", "urndist.cli", "stats",
-             "--n", "1000000", "--k", "500000"],
-            env=dict(os.environ, PYTHONPATH=root),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert time.perf_counter() - start < 2.0
-        assert out.returncode == 0
-        assert out.stdout.splitlines()[1].split(",")[2] == "1"
+        assert _stats_row_within_2s(1000000, 500000).split(",")[2] == "1"
+
+    def test_mode_of_huge_uniform_urn_within_2s(self):
+        # good = 1: every draw is a mode, written as an interval like the
+        # support (listed one by one, 10**6 draws took 6.9 MB)
+        row = _stats_row_within_2s(100000000, 1)
+        assert row.endswith(",1..100000000,1..100000000")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_unprintable_variance_exit_3(self, runner, fmt):
@@ -402,8 +413,7 @@ class TestSample:
 
     def test_unknown_method_exit_2(self, runner):
         result = runner.invoke(
-            cli, ["sample", "--n", "10", "--k", "3", "--count", "1",
-                  "--method", "alias"]
+            ["sample", "--n", "10", "--k", "3", "--count", "1", "--method", "alias"]
         )
         assert result.exit_code == 2
 
@@ -419,7 +429,6 @@ class TestSample:
 
     def test_bad_env_seed_exit_2(self, runner):
         result = runner.invoke(
-            cli,
             ["sample", "--n", "10", "--k", "3", "--count", "1"],
             env={"URN_SEED": "not-a-number"},
         )
@@ -445,7 +454,7 @@ class TestSample:
         "fmt, digest",
         [
             ("csv", "ffc61366e693936bd229e40c0b1f364c7584ef3110ec8edeaa946ea1c242c84f"),
-            ("json", "9a9f2b7d6d7006a2cb819c5d23c95797a0dc49aec0bb328c46fb4fb3d80e1ee7"),
+            ("json", "e6765ca80e5ebc36bf0710d5a19f62d61d53aa2ab34f99934640e03ee8039127"),
         ],
     )
     def test_urn_walk_stream_pinned(self, runner, fmt, digest):
@@ -460,7 +469,7 @@ class TestSample:
             (250000, 40, 20000, 7, "csv",
              "76bf8f417b11babd87afac82c7180be0126eb67692b9081c9b074a7771d28086"),
             (250000, 40, 20000, 7, "json",
-             "bc65069f49a9778a6b96f740ce68b0eed856b7f8de34df1d4f43600ff470d05b"),
+             "22e417d5ca62171acd60aeda167bb1969a3348aa769e84968f6a11fb312285d2"),
             # two and seven cdf blocks
             (33168, 3, 4000, 3, "csv",
              "a0c930015966d5162624fdbdfb9a1bf07162c40507220089ee6864865797b707"),
@@ -606,7 +615,7 @@ class TestCheck:
             ]
 
         monkeypatch.setattr("urndist.checks.run_all", fake_run_all)
-        result = runner.invoke(cli, ["check", "--max-n", "4"])
+        result = runner.invoke(["check", "--max-n", "4"])
         assert result.exit_code == 4
         assert "total=4" in result.stderr
         assert "moments,5,1,mean mismatch" in result.output
@@ -649,6 +658,15 @@ class TestImport:
             check=True,
         )
         assert out.stdout.splitlines() == ["False", "[]", "[]"]
+
+    def test_public_names_are_public_in_their_submodules(self):
+        # urndist.__all__ is the name -> submodule map of the lazy __init__
+        assert urndist.__all__ == list(urndist._SUBMODULE)
+        missing = [
+            f"{module}.{name}" for name, module in urndist._SUBMODULE.items()
+            if name not in importlib.import_module(f"urndist.{module}").__all__
+        ]
+        assert missing == []
 
     def test_declared_dependencies_are_the_imported_ones(self):
         # every third-party package the runtime imports is declared in

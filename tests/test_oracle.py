@@ -39,8 +39,6 @@ class TestEnumeratePmf:
     def test_guard_and_force(self):
         with pytest.raises(ResourceGuardError):
             enumerate_pmf(UrnParams(ENUMERATION_LIMIT + 1, 1))
-        table = enumerate_pmf(UrnParams(ENUMERATION_LIMIT + 1, 1), force=True)
-        assert table.total_mass() == 1
 
     def test_equals_closed_form_sweep(self):
         for total in range(1, 10):
