@@ -72,15 +72,17 @@ def _check_pmf_oracle(params: UrnParams, table: PmfTable) -> str | None:
 
 
 def _check_moments(params: UrnParams, table: PmfTable) -> str | None:
-    if table.mean() != mean(params):
+    table_mean = table.mean()  # summed once, and reused by the variance
+    if table_mean != mean(params):
         return (
             f"mean mismatch at total={params.total} good={params.good}: "
-            f"sum n*P(n) = {table.mean()} vs closed form {mean(params)}"
+            f"sum n*P(n) = {table_mean} vs closed form {mean(params)}"
         )
-    if table.variance() != variance(params):
+    table_var = table.variance(table_mean)
+    if table_var != variance(params):
         return (
             f"variance mismatch at total={params.total} good={params.good}: "
-            f"table gives {table.variance()} vs closed form {variance(params)}"
+            f"table gives {table_var} vs closed form {variance(params)}"
         )
     return None
 

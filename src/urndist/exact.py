@@ -215,9 +215,10 @@ class PmfTable:
             Fraction(0),
         )
 
-    def variance(self) -> Fraction:
-        """Second central moment computed directly from the table entries."""
-        m = self.mean()
+    def variance(self, first_moment: Fraction | None = None) -> Fraction:
+        """Second central moment computed directly from the table entries;
+        a ``first_moment`` from ``mean()`` spares summing it again."""
+        m = self.mean() if first_moment is None else first_moment
         second = sum(
             (n * n * p for n, p in enumerate(self.probabilities, start=1)),
             Fraction(0),

@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import urndist
@@ -453,8 +454,12 @@ class TestSample:
     @pytest.mark.parametrize(
         "fmt, digest",
         [
-            ("csv", "ffc61366e693936bd229e40c0b1f364c7584ef3110ec8edeaa946ea1c242c84f"),
-            ("json", "e6765ca80e5ebc36bf0710d5a19f62d61d53aa2ab34f99934640e03ee8039127"),
+            pytest.param(
+                "csv", "ffc61366e693936bd229e40c0b1f364c7584ef3110ec8edeaa946ea1c242c84f",
+                id="csv"),
+            pytest.param(
+                "json", "e6765ca80e5ebc36bf0710d5a19f62d61d53aa2ab34f99934640e03ee8039127",
+                id="json"),
         ],
     )
     def test_urn_walk_stream_pinned(self, runner, fmt, digest):
@@ -466,15 +471,23 @@ class TestSample:
     @pytest.mark.parametrize(
         "total, good, count, seed, fmt, digest",
         [
-            (250000, 40, 20000, 7, "csv",
-             "76bf8f417b11babd87afac82c7180be0126eb67692b9081c9b074a7771d28086"),
-            (250000, 40, 20000, 7, "json",
-             "22e417d5ca62171acd60aeda167bb1969a3348aa769e84968f6a11fb312285d2"),
+            pytest.param(
+                250000, 40, 20000, 7, "csv",
+                "76bf8f417b11babd87afac82c7180be0126eb67692b9081c9b074a7771d28086",
+                id="250000-40-csv"),
+            pytest.param(
+                250000, 40, 20000, 7, "json",
+                "22e417d5ca62171acd60aeda167bb1969a3348aa769e84968f6a11fb312285d2",
+                id="250000-40-json"),
             # two and seven cdf blocks
-            (33168, 3, 4000, 3, "csv",
-             "a0c930015966d5162624fdbdfb9a1bf07162c40507220089ee6864865797b707"),
-            (200000, 1, 2000, 5, "csv",
-             "ebd7e22bd3c0643f5d029044f48b87272bcb1946bf3a01db5cd3d4b373d9d2ff"),
+            pytest.param(
+                33168, 3, 4000, 3, "csv",
+                "a0c930015966d5162624fdbdfb9a1bf07162c40507220089ee6864865797b707",
+                id="33168-3-csv"),
+            pytest.param(
+                200000, 1, 2000, 5, "csv",
+                "ebd7e22bd3c0643f5d029044f48b87272bcb1946bf3a01db5cd3d4b373d9d2ff",
+                id="200000-1-csv"),
         ],
     )
     def test_inverse_stream_pinned(self, runner, total, good, count, seed, fmt, digest):
@@ -499,6 +512,12 @@ class TestSample:
         _refused_within_2s("sample", "--n", "10", "--k", "3", "--count", str(count),
                            "--method", "inverse", "--format", fmt)
 
+    def test_json_memory_close_to_csv(self):
+        # both formats write the drawn array in fixed slices of bytes
+        args = ("sample", "--n", "1000", "--k", "3", "--count", "1000000",
+                "--method", "inverse", "--format")
+        assert _peak_rss_kb(*args, "json") - _peak_rss_kb(*args, "csv") < 2 * 1024
+
     def test_walk_work_guard_limit(self):
         # ten times the sample-walk benchmark workload still passes
         _require_walk_budget(10000, 40, 10 * 250000)
@@ -508,6 +527,74 @@ class TestSample:
         _require_walk_budget(total, 1, 1)
         with pytest.raises(ResourceGuardError):
             _require_walk_budget(total + 1, 1, 1)
+
+
+def _emit_bytes(fmt, values):
+    """The stdout bytes of ``cli._emit`` on ``values``, one column of a
+    `sample`-shaped table."""
+    buffer = io.BytesIO()
+    text = io.TextIOWrapper(buffer, encoding="utf-8", write_through=True)
+    with contextlib.redirect_stdout(text):
+        cli_mod._emit(fmt, {"count": len(values)}, ("value",), values, str)
+    return buffer.getvalue()
+
+
+def _reference_bytes(fmt, ints):
+    if fmt == "csv":
+        return "\n".join(["value", *map(str, ints)]).encode() + b"\n"
+    document = {"schema_version": 2, "params": {"count": len(ints)}, "rows": ints}
+    return json.dumps(document, indent=2).encode() + b"\n"
+
+
+class TestIntWriter:
+    """``cli._emit`` on an int64 array writes the bytes of str/join (CSV)
+    and of json.dumps(indent=2) (JSON)."""
+
+    _SLICE = cli_mod._DIGIT_SLICE
+    _EDGES = [0, 1, 9, 10, 99, 100, 2**62, 2**63 - 1] + [
+        v for k in range(3, 19) for v in (10**k - 1, 10**k)]
+
+    @staticmethod
+    def _mixed(count):
+        # widths of 1 to 19 digits, in no order
+        rng = np.random.default_rng(count)
+        return rng.integers(0, 2**63 - 1, count) >> rng.integers(0, 63, count)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", [
+        "edges", "single", "single-zero", "mixed", "slice-1", "slice", "slice+1"])
+    def test_matches_reference(self, fmt, case):
+        values = {
+            "edges": lambda: np.array(self._EDGES, dtype=np.int64),
+            "single": lambda: np.array([2**62], dtype=np.int64),
+            "single-zero": lambda: np.zeros(1, dtype=np.int64),
+            "mixed": lambda: self._mixed(5000),
+            "slice-1": lambda: self._mixed(self._SLICE - 1),
+            "slice": lambda: self._mixed(self._SLICE),
+            "slice+1": lambda: self._mixed(self._SLICE + 1),
+        }[case]()
+        assert values.dtype == np.int64
+        ints = values.tolist()
+        assert _emit_bytes(fmt, values) == _reference_bytes(fmt, ints)
+        # the text path, on the same values as Python ints, agrees
+        assert _emit_bytes(fmt, ints) == _reference_bytes(fmt, ints)
+
+    def test_mixed_widths_within_one_slice(self):
+        values = self._mixed(self._SLICE)
+        widths = {len(str(v)) for v in values.tolist()}
+        assert widths == set(range(1, 20))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_array_writes_an_empty_table(self, fmt):
+        assert _emit_bytes(fmt, np.zeros(0, dtype=np.int64)) == _reference_bytes(fmt, [])
+
+    def test_stdout_text_layer_flushed_first(self):
+        buffer = io.BytesIO()
+        text = io.TextIOWrapper(buffer, encoding="utf-8")  # buffered text layer
+        with contextlib.redirect_stdout(text):
+            print("before")
+            cli_mod._emit("csv", {}, ("value",), np.array([3, 14], dtype=np.int64), str)
+        assert buffer.getvalue() == b"before\nvalue\n3\n14\n"
 
 
 class TestConverge:
