@@ -13,15 +13,18 @@ writer, ``_emit``.  CSV is a header and one line per row, floats at 17
 significant digits.  JSON is {"schema_version": 2, "params": ..., "rows":
 [...]} as json.dumps(indent=2) prints it, a row being an object keyed by
 the columns (a bare value for one column).  An interval of draws (the
-``stats`` mode and support) is a..b in CSV and [a, b] in JSON.  Rows are
-streamed as they are made, and stdout stays empty when a command fails on
-its first row.  The draws of ``sample``, one int64 array, are formatted
-by numpy into bytes a slice at a time and written to ``sys.stdout.buffer``;
-the bytes are identical to the text path's, with no Python object per draw.
+``stats`` mode and support) is a..b in CSV and [a, b] in JSON.  ``_emit``
+has one write loop: each format states its opening, separator, closing
+and empty table once, and every chunk of rows goes out as one
+``sys.stdout.write``.  Rows are streamed as they are made, and stdout
+stays empty when a command fails on its first row.  The draws of
+``sample``, one int64 array, are formatted by numpy a slice at a time
+(``_decimal_text``), with no Python object per draw.
 
 Exit codes: 0 success, 2 usage or validation error, 3 resource guard
-tripped, 4 self-check failure.  Every error, a usage error included, is
-one ``error: ...`` line on stderr.  The environment variable URN_SEED
+tripped, 4 self-check failure, 141 (128 + SIGPIPE) when the reader of
+stdout closes it early.  Every error, a usage error included, is one
+``error: ...`` line on stderr.  The environment variable URN_SEED
 supplies a default sampling seed (an explicit --seed always wins).
 """
 
@@ -88,19 +91,19 @@ def _json_range(value: range) -> list[int]:
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _decimal_bytes(values, sep: bytes):
-    """The non-negative int64 ``values`` in decimal, each followed by
-    ``sep``, as a flat uint8 array: the bytes of ``"".join(f"{v}{sep}")``.
+def _decimal_text(values, sep: str) -> str:
+    """The non-negative int64 ``values`` in decimal, joined by ``sep``: the
+    text of ``sep.join(map(str, values))``.
 
-    A (len, width + len(sep)) grid takes the digits column by column from
-    the right; a digit is kept when the value has one there (a nonzero
-    quotient to its right, or the last column), and ``grid[keep]`` drops
-    the leading pad.
+    A (len, width + len(sep)) grid of bytes takes the digits column by
+    column from the right; a digit is kept when the value has one there (a
+    nonzero quotient to its right, or the last column), and ``grid[keep]``
+    drops the leading pad.
     """
     width = len(str(int(values.max())))
     grid = np.empty((values.size, width + len(sep)), np.uint8)
     keep = np.empty(grid.shape, bool)
-    grid[:, width:] = np.frombuffer(sep, np.uint8)
+    grid[:, width:] = np.frombuffer(sep.encode(), np.uint8)
     keep[:, width - 1 :] = True
     rest, quot = values.copy(), np.empty_like(values)
     for col in range(width - 1, -1, -1):
@@ -112,58 +115,53 @@ def _decimal_bytes(values, sep: bytes):
         if col:
             np.not_equal(quot, 0, out=keep[:, col - 1])
         rest, quot = quot, rest
-    return grid[keep]
+    return grid[keep][: -len(sep)].tobytes().decode()
 
 
-def _emit(fmt: str, params_obj: dict, columns: tuple[str, ...], rows, line) -> None:
+def _emit(fmt: str, params_obj: dict, columns: tuple[str, ...], rows, line=None) -> None:
     """Write ``rows``, tuples of the values of ``columns`` (bare values for
-    one column), on stdout in ``_ECHO_CHUNK``-row chunks.  A CSV row is
-    ``line(row)``, and the header goes out with the first one; JSON writes
-    nothing before its first chunk.
-
-    A non-empty int64 array of non-negative values (one column) is written
-    by ``_decimal_bytes`` to ``sys.stdout.buffer`` instead, in
-    ``_DIGIT_SLICE``-value slices, with the same bytes.
+    one column), on stdout, one ``write`` per chunk of rows.  A CSV row is
+    ``line(row)``; a JSON row is ``dict(zip(columns, row))`` as
+    json.dumps(indent=2) prints it.  Row 1 is a chunk of its own and goes
+    out with the opening, before row 2 is made; ``_ECHO_CHUNK`` rows make
+    each later chunk.  A one-column int64 array of non-negative values is
+    cut into ``_DIGIT_SLICE``-value chunks and written by ``_decimal_text``,
+    with the same text.
     """
-    out = sys.stdout
-    if fmt == "json":
+    # the opening, the separator, whether it ends each row (or sits between
+    # rows), the closing, and the whole output of a table with no rows
+    if fmt == "csv":
+        opening = ",".join(columns) + "\n"
+        sep, ends, closing, empty = "\n", True, "", opening
+    else:
         import json  # only JSON output needs it
 
-        head = json.dumps({"schema_version": 2, "params": params_obj, "rows": []}, indent=2)
-        head = head[: -len("[]\n}")]
-    if isinstance(rows, np.ndarray) and rows.size:
-        # the opening, the rows joined by sep, then the closing; the
-        # opening goes out with the first slice
-        if fmt == "csv":
-            opening, sep, closing = columns[0] + "\n", b"\n", b"\n"
-        else:
-            opening, sep, closing = head + "[\n    ", b",\n    ", b"\n  ]\n}\n"
-        out.flush()
-        pending = opening.encode()
-        for lo in range(0, rows.size, _DIGIT_SLICE):
-            text = _decimal_bytes(rows[lo : lo + _DIGIT_SLICE], sep)
-            out.buffer.write(pending + text[: -len(sep)].tobytes())
-            pending = sep
-        out.buffer.write(closing)
-        out.buffer.flush()
-        return
-    rows = iter(rows)
-    if fmt == "csv":
-        out.write("\n".join([",".join(columns), *map(line, itertools.islice(rows, 1))]) + "\n")
-        while chunk := list(map(line, itertools.islice(rows, _ECHO_CHUNK))):
-            out.write("\n".join(chunk) + "\n")
-            del chunk  # free it before the next chunk is built
+        document = json.dumps({"schema_version": 2, "params": params_obj, "rows": []}, indent=2)
+        opening = document[: -len("]\n}")] + "\n    "
+        sep, ends, closing, empty = ",\n    ", False, "\n  ]\n}\n", document + "\n"
+    if isinstance(rows, np.ndarray):
+        chunks = (rows[lo : lo + _DIGIT_SLICE] for lo in range(0, rows.size, _DIGIT_SLICE))
+        render = lambda values: _decimal_text(values, sep)
     else:
-        if len(columns) > 1:
-            rows = (dict(zip(columns, row)) for row in rows)
-        opening = "["
-        while chunk := list(itertools.islice(rows, _ECHO_CHUNK)):
+        # a row becomes its line or dict as it is taken: a chunk holds no tuples
+        if fmt == "csv":
+            rows, render = map(line, rows), sep.join
+        else:
+            if len(columns) > 1:
+                rows = (dict(zip(columns, row)) for row in rows)
             # the chunk's list without its brackets, one level deeper
-            body = json.dumps(chunk, indent=2, default=_json_range)[1:-2].replace("\n", "\n  ")
-            out.write(head + opening + body)
-            head, opening = "", ","
-            del chunk, body  # free both before the next chunk is built
-        out.write(head + ("[]" if opening == "[" else "\n  ]") + "\n}\n")
+            render = lambda chunk: json.dumps(
+                chunk, indent=2, default=_json_range)[4:-2].replace("\n", "\n  ")
+        # row 1 alone, then _ECHO_CHUNK rows at a time, up to the first empty chunk
+        rows, sizes = iter(rows), itertools.chain([1], itertools.repeat(_ECHO_CHUNK))
+        chunks = iter(lambda: list(itertools.islice(rows, next(sizes))), [])
+    out, first = sys.stdout, True
+    between, after = ("", sep) if ends else (sep, "")
+    for chunk in chunks:
+        out.write((opening if first else between) + render(chunk) + after)
+        first = False
+        del chunk  # free it before the next chunk is made
+    out.write(empty if first else closing)
     out.flush()
 
 
@@ -233,16 +231,6 @@ def _resolve_seed(seed: int | None) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not in the range x>=1")
-    return value
-
-
 _URN_OPTIONS = (
     ("--n", dict(dest="total", type=int, required=True, help="Total objects in the urn.")),
     ("--k", dict(dest="good", type=int, required=True, help="Number of good objects.")),
@@ -306,7 +294,7 @@ def cmd_stats(total: int, good: int, fmt: str) -> None:
 
 @_command(
     "sample", *_URN_OPTIONS,
-    ("--count", dict(type=_positive_int, required=True, help="Number of draws.")),
+    ("--count", dict(type=int, required=True, help="Number of draws.")),
     ("--seed", dict(type=int, default=None, help="RNG seed (default: $URN_SEED or 0).")),
     ("--method", dict(choices=("urn", "inverse"), default="urn",
                       help="urn: simulate the shrinking urn; inverse: invert the cdf "
@@ -325,7 +313,7 @@ def cmd_sample(
     else:
         values = sample_inverse_cdf_batch(params, state, count)
     params_obj = {"n": total, "k": good, "count": count, "seed": seed, "method": method}
-    _emit(fmt, params_obj, ("value",), values, str)
+    _emit(fmt, params_obj, ("value",), values)
 
 
 @_command(
@@ -358,7 +346,7 @@ def cmd_converge(p_num: int, p_den: int, totals_csv: str, fmt: str) -> None:
 
 @_command(
     "check",
-    ("--max-n", dict(dest="max_total", type=_positive_int, default=12,
+    ("--max-n", dict(dest="max_total", type=int, default=12,
                      help="Upper bound of the verification sweep (default: %(default)s).")),
     ("--force", dict(action="store_true",
                      help="Lift the sweep size guard on --max-n (expensive above the "
@@ -415,7 +403,7 @@ def _parser() -> _Parser:
 
 def main(args: list[str] | None = None) -> None:
     """Run ``urn`` on ``args`` (``sys.argv[1:]`` when None) and map the
-    package's errors onto exit codes 2 and 3."""
+    package's errors onto exit codes 2 and 3, and a closed stdout onto 141."""
     options = vars(_parser().parse_args(args))
     run = options.pop("run")
     try:
@@ -426,6 +414,12 @@ def main(args: list[str] | None = None) -> None:
     except UrnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
+    except BrokenPipeError:
+        # the reader has gone, as in `urn ... | head -1`: point stdout at
+        # devnull so that the exit flush cannot fail again, and exit 128 +
+        # SIGPIPE, as a shell reports a writer that SIGPIPE ended
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
 
 
 # click's call shape, cli.main(args=..., prog_name=..., standalone_mode=...),

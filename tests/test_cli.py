@@ -55,7 +55,7 @@ class _Result:
 
 class _Runner:
     """Runs ``cli.main`` in process on an argv list.  ``env`` is laid over
-    os.environ for the call; stdout (with a ``.buffer``) and stderr are
+    os.environ for the call; stdout and stderr are
     captured; an exit status becomes ``exit_code``, and any other exception
     exit code 1 unless ``catch_exceptions`` is false."""
 
@@ -194,9 +194,14 @@ class TestTable:
         [
             pytest.param(("table", "--n", "2", "--k", "2"), {"n": 2, "k": 2}, id="2-2"),
             pytest.param(("table", "--n", "10", "--k", "3"), {"n": 10, "k": 3}, id="10-3"),
-            # spans three float blocks and 69 JSON write chunks
+            # spans three float blocks and 70 write chunks
             pytest.param(("table", "--n", "70000", "--k", "3"), {"n": 70000, "k": 3},
                          id="70000-3"),
+            # row 1, then one full write chunk, and then one row more
+            pytest.param(("table", "--n", "1027", "--k", "3"), {"n": 1027, "k": 3},
+                         id="1027-3"),
+            pytest.param(("table", "--n", "1028", "--k", "3"), {"n": 1028, "k": 3},
+                         id="1028-3"),
             # good = 1: every support point is a mode
             pytest.param(("stats", "--n", "12", "--k", "1"), {"n": 12, "k": 1},
                          id="stats-12-1"),
@@ -874,6 +879,32 @@ class TestOutputHygiene:
             output = run(runner, *args).output
             for line in output.splitlines():
                 assert '"' not in line
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("sample", "--n", "10", "--k", "3", "--count", "1000000"),
+            ("sample", "--n", "10", "--k", "3", "--count", "1000000", "--format", "json"),
+            ("table", "--n", "50000", "--k", "10"),
+        ],
+        ids=["sample-csv", "sample-json", "table"],
+    )
+    def test_closed_reader_exits_141_quietly(self, args, unbuffered):
+        # `urn ... | head -1`: the reader takes one line and closes the pipe
+        # while megabytes of output are still to come
+        root = os.path.dirname(os.path.dirname(urndist.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "urndist.cli", *args],
+            env=dict(os.environ, PYTHONPATH=root, PYTHONUNBUFFERED=unbuffered),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert stderr == b""
 
     def test_deterministic_given_flags(self, runner):
         args = ("converge", "--p-num", "1", "--p-den", "10", "--ns", "100,200")
