@@ -7,14 +7,17 @@ sweep over the urns, total ascending and then good, which builds each
 urn's exact ``pmf_table`` once and hands it to every family still running:
 a family checks one urn and its table and returns its first-failure
 message or None, and is not called again after its first failure.  The
-summation lemmas have their own (k, n, x) sweep.  The CLI turns any
-failure into a nonzero exit.
+tables are integers over C(total, good), compared as integers; only the
+moments and failure messages build Fractions.  The summation lemmas have
+their own (k, n, x) sweep.  The CLI turns any failure into a nonzero exit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from fractions import Fraction  # for failure messages only
+from itertools import zip_longest
+from math import comb
 
 from .errors import ResourceGuardError, require_int
 from .exact import (
@@ -35,12 +38,14 @@ from .oracle import ENUMERATION_LIMIT, enumerate_pmf
 
 __all__ = ["FamilyResult", "run_all"]
 
-# Largest max_total that a sweep accepts without force.  Its cost grows
-# between max_total^2 and max_total^3: on a 2-core Xeon VM under Python
-# 3.11, the sweep took 0.6 s at 30, 2.2 s at 60, 9.8 s at 100 and 10.8-11.2 s
-# at 105 in process, and a cold `urn check --max-n` (no cached bytecode,
-# unbuffered stdout) took 8.4-10.6 s at 105, 11.5 s at 110 and 13.5 s at 120.
-_SWEEP_LIMIT = 105
+# Largest max_total that a sweep accepts without force.  Its cost grows as
+# max_total^3, most of it in `lemma-sums`: on a 2-core Xeon VM under Python
+# 3.11, the sweep took 0.2-0.4 s at 30, 0.9-1.3 s at 105, 3.2-3.4 s at 150
+# and 8.4-10.4 s at 200 in process (lemma-sums 6.3 s of the 10.4), and the
+# medians of cold `urn check --max-n` runs (no cached bytecode for urndist,
+# unbuffered stdout; 3-5 runs in each of two batches) were 1.4-1.8 s at
+# 105, 3.6-4.0 s at 150, 7.9-10.3 s at 200, 9.9-12.8 s at 210 and 15 s at 220.
+_SWEEP_LIMIT = 200
 
 
 @dataclass
@@ -57,17 +62,15 @@ class FamilyResult:
 def _check_pmf_oracle(params: UrnParams, table: PmfTable) -> str | None:
     # enumeration costs C(total, good) per urn, so the sweep stops this
     # family at its own limit
-    enumerated = enumerate_pmf(params).probabilities
-    if enumerated != table.probabilities:
-        n, a, b = next(
-            (n, a, b)
-            for n, (a, b) in enumerate(zip(enumerated, table.probabilities), start=1)
-            if a != b
-        )
-        return (
-            f"pmf mismatch at total={params.total} good={params.good} "
-            f"n={n}: enumeration {a} vs closed form {b}"
-        )
+    enumerated = enumerate_pmf(params)
+    d, e = enumerated.denominator, table.denominator
+    pairs = zip_longest(enumerated.numerators, table.numerators, fillvalue=0)
+    for n, (a, b) in enumerate(pairs, start=1):
+        if a * e != b * d:  # a/d vs b/e, cross-multiplied
+            return (
+                f"pmf mismatch at total={params.total} good={params.good} "
+                f"n={n}: enumeration {Fraction(a, d)} vs closed form {Fraction(b, e)}"
+            )
     return None
 
 
@@ -93,36 +96,37 @@ def _check_normalization_cdf(params: UrnParams, table: PmfTable) -> str | None:
             f"pmf does not sum to 1 at total={params.total} "
             f"good={params.good}: {table.total_mass()}"
         )
-    prefix = Fraction(0)
-    for n, p in enumerate(table.probabilities, start=1):
-        prefix += p
-        if cdf(params, n) != prefix:
+    total, good, den = params.total, params.good, table.denominator
+    full, prefix = comb(total, good), 0
+    for n, a in enumerate(table.numerators, start=1):
+        prefix += a
+        # closed-form cdf (full - C(total-n, good)) / full vs prefix / den
+        if (full - comb(total - n, good)) * den != prefix * full:
             return (
-                f"cdf mismatch at total={params.total} good={params.good} "
-                f"n={n}: cdf {cdf(params, n)} vs prefix sum {prefix}"
+                f"cdf mismatch at total={total} good={good} "
+                f"n={n}: cdf {cdf(params, n)} vs prefix sum {Fraction(prefix, den)}"
             )
     if cdf(params, params.support_size) != 1:
-        return f"cdf does not reach 1 at total={params.total} good={params.good}"
+        return f"cdf does not reach 1 at total={total} good={good}"
     return None
 
 
 def _check_pmf_shape(params: UrnParams, table: PmfTable) -> str | None:
-    probs = table.probabilities
+    nums = table.numerators  # all over the one denominator
     total, good = params.total, params.good
     if good == 1:
-        flat = Fraction(1, total)
-        if any(p != flat for p in probs):
+        if any(a * total != table.denominator for a in nums):
             return f"good=1 pmf not constant 1/{total} at total={total}"
     else:
-        for n in range(1, len(probs)):
+        for n in range(1, len(nums)):
             # strictly decreasing, with the stated ratio P(n)/P(n+1)
             if not (
-                probs[n - 1] > probs[n]
-                and probs[n - 1] * (total - n + 1 - good) == probs[n] * (total - n)
+                nums[n - 1] > nums[n]
+                and nums[n - 1] * (total - n + 1 - good) == nums[n] * (total - n)
             ):
                 return f"pmf shape violated at total={total} good={good} n={n}"
-    top = max(probs)
-    argmax = frozenset(n for n, p in enumerate(probs, start=1) if p == top)
+    top = max(nums)
+    argmax = frozenset(n for n, a in enumerate(nums, start=1) if a == top)
     if argmax != frozenset(mode(params)):
         # CSV output forbids commas; render the sets space-separated
         shown = " ".join(map(str, sorted(argmax)))
@@ -135,22 +139,19 @@ def _check_pmf_shape(params: UrnParams, table: PmfTable) -> str | None:
 
 
 def _check_median(params: UrnParams, table: PmfTable) -> str | None:
-    # by the binomial characterization and by a scan of the closed-form
-    # cdf, neither of which reads the table
+    # by a scan of the closed-form cdf, which does not read the table:
+    # cdf(n) >= 1/2 is 2 C(total-n, good) <= C(total, good)
     total, good = params.total, params.good
     m = median(params)
-    full = binomial(total, good)
-    ok_binom = 2 * binomial(total - m, good) <= full and (
-        m == 1 or 2 * binomial(total - m + 1, good) > full
-    )
+    full = comb(total, good)
     by_scan = next(
         n for n in range(1, params.support_size + 1)
-        if cdf(params, n) >= Fraction(1, 2)
+        if 2 * comb(total - n, good) <= full
     )
-    if not ok_binom or by_scan != m:
+    if by_scan != m:
         return (
             f"median mismatch at total={total} good={good}: median() = {m}; "
-            f"cdf scan = {by_scan}; binomial test {'ok' if ok_binom else 'failed'}"
+            f"cdf scan = {by_scan}"
         )
     return None
 

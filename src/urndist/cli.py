@@ -22,10 +22,10 @@ stays empty when a command fails on its first row.  The draws of
 (``_decimal_text``), with no Python object per draw.
 
 Exit codes: 0 success, 2 usage or validation error, 3 resource guard
-tripped, 4 self-check failure, 141 (128 + SIGPIPE) when the reader of
-stdout closes it early.  Every error, a usage error included, is one
-``error: ...`` line on stderr.  The environment variable URN_SEED
-supplies a default sampling seed (an explicit --seed always wins).
+tripped or stdout write refused, 4 self-check failure, 141 (128 + SIGPIPE)
+when the reader of stdout closes it early.  Every error, a usage error
+included, is one ``error: ...`` line on stderr.  The environment variable
+URN_SEED supplies a default sampling seed (an explicit --seed always wins).
 """
 
 from __future__ import annotations
@@ -402,8 +402,8 @@ def _parser() -> _Parser:
 
 
 def main(args: list[str] | None = None) -> None:
-    """Run ``urn`` on ``args`` (``sys.argv[1:]`` when None) and map the
-    package's errors onto exit codes 2 and 3, and a closed stdout onto 141."""
+    """Run ``urn`` on ``args`` (``sys.argv[1:]`` when None); map the package's
+    errors and a failed write to stdout onto exit codes 2, 3 and 141."""
     options = vars(_parser().parse_args(args))
     run = options.pop("run")
     try:
@@ -414,12 +414,14 @@ def main(args: list[str] | None = None) -> None:
     except UrnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
-    except BrokenPipeError:
-        # the reader has gone, as in `urn ... | head -1`: point stdout at
-        # devnull so that the exit flush cannot fail again, and exit 128 +
-        # SIGPIPE, as a shell reports a writer that SIGPIPE ended
+    except OSError as exc:
+        # stdout refused a write (no command opens a file); on devnull the exit
+        # flush cannot fail again.  A closed pipe, as in `urn ... | head -1`, is 141
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(141)
+        if isinstance(exc, BrokenPipeError):
+            sys.exit(141)
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        sys.exit(3)
 
 
 # click's call shape, cli.main(args=..., prog_name=..., standalone_mode=...),

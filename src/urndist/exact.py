@@ -9,13 +9,12 @@ index of the first draw that yields a good object.  X is supported on
          = Fail(n-1) * good / (total-n+1),
 
 where Fail(n) = C(total-n, good) / C(total, good) is the probability that
-the first n draws all miss.  Everything in this module is computed with
-exact integers and rationals (``fractions.Fraction``), so equality means
-mathematical equality: there are no tolerances anywhere in this layer.
-
-Whole tables come from ``binomial_numerators``: the integer numerators
-C(total-n, good-1) and C(total-n, good) of P(n) and Fail(n) over the one
-denominator C(total, good), stepped along the support by the exact integer
+the first n draws all miss.  Nothing in this module rounds, so equality
+means mathematical equality: there are no tolerances anywhere in this
+layer.  A single value is a ``fractions.Fraction``; a whole table is
+integers over the one denominator D = C(total, good).  Its numerators
+C(total-n, good-1) and C(total-n, good) of P(n) and Fail(n) come from
+``binomial_numerators``, stepped along the support by the exact integer
 recurrence C(a-1, k) = C(a, k) (a-k) / a.
 """
 
@@ -189,41 +188,43 @@ def mode(params: UrnParams) -> range:
 
 @dataclass(frozen=True)
 class PmfTable:
-    """The full exact mass function over the support.
-
-    ``probabilities[i]`` is P(X = i+1).  Entries sum to exactly 1, are all
-    positive, and strictly decrease when good > 1 (they are constant at
-    1/total when good = 1).
+    """The full exact mass function: P(X = n) is ``numerators[n-1] /
+    denominator``, over D = C(total, good) from ``pmf_table`` and the
+    enumeration oracle alike.  The numerators are positive, sum to the
+    denominator and strictly decrease when good > 1 (they are equal when
+    good = 1).  Each sum below adds integers and returns one Fraction.
     """
 
     params: UrnParams
-    probabilities: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
+
+    @property
+    def probabilities(self) -> tuple[Fraction, ...]:
+        """P(X = n) for n = 1..total-good+1, as Fractions built on each read."""
+        return tuple(Fraction(a, self.denominator) for a in self.numerators)
 
     def probability(self, n: int) -> Fraction:
         """P(X = n) looked up from the table; 0 outside the support."""
-        if 1 <= n <= len(self.probabilities):
-            return self.probabilities[n - 1]
+        if 1 <= n <= len(self.numerators):
+            return Fraction(self.numerators[n - 1], self.denominator)
         return Fraction(0)
 
     def total_mass(self) -> Fraction:
-        return sum(self.probabilities, Fraction(0))
+        return Fraction(sum(self.numerators), self.denominator)
 
     def mean(self) -> Fraction:
         """First moment computed directly from the table entries."""
-        return sum(
-            (n * p for n, p in enumerate(self.probabilities, start=1)),
-            Fraction(0),
+        return Fraction(
+            sum(n * a for n, a in enumerate(self.numerators, start=1)), self.denominator
         )
 
     def variance(self, first_moment: Fraction | None = None) -> Fraction:
         """Second central moment computed directly from the table entries;
         a ``first_moment`` from ``mean()`` spares summing it again."""
         m = self.mean() if first_moment is None else first_moment
-        second = sum(
-            (n * n * p for n, p in enumerate(self.probabilities, start=1)),
-            Fraction(0),
-        )
-        return second - m * m
+        second = sum(n * n * a for n, a in enumerate(self.numerators, start=1))
+        return Fraction(second, self.denominator) - m * m
 
 
 def binomial_numerators(params: UrnParams) -> Iterator[tuple[int, int]]:
@@ -245,15 +246,13 @@ def binomial_numerators(params: UrnParams) -> Iterator[tuple[int, int]]:
 
 
 def pmf_table(params: UrnParams) -> PmfTable:
-    """Tabulate the exact mass function over the whole support.
-
-    Each entry is C(total-n, good-1) / C(total, good), its numerator taken
-    from ``binomial_numerators``.
-    """
-    full = binomial(params.total, params.good)
+    """Tabulate the exact mass function over the whole support: the
+    numerators C(total-n, good-1) from ``binomial_numerators`` over
+    C(total, good)."""
     return PmfTable(
         params=params,
-        probabilities=tuple(Fraction(a, full) for a, _ in binomial_numerators(params)),
+        numerators=tuple(a for a, _ in binomial_numerators(params)),
+        denominator=binomial(params.total, params.good),
     )
 
 

@@ -11,7 +11,6 @@ urn-walk sampler.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -50,7 +49,8 @@ def enumerate_pmf(params: UrnParams) -> PmfTable:
     """Exact mass function by exhaustive enumeration of good-object placements.
 
     The first success happens on draw n exactly when the minimum of the
-    good positions is n, so each subset contributes to one support point.
+    good positions is n, so each subset contributes to one support point:
+    the table is the subset counts over their number C(total, good).
     Refuses totals above ``ENUMERATION_LIMIT``.
     """
     if params.total > ENUMERATION_LIMIT:
@@ -61,10 +61,10 @@ def enumerate_pmf(params: UrnParams) -> PmfTable:
     counts = [0] * params.support_size
     for subset in combinations(range(1, params.total + 1), params.good):
         counts[subset[0] - 1] += 1  # combinations are emitted sorted
-    denominator = comb(params.total, params.good)
     return PmfTable(
         params=params,
-        probabilities=tuple(Fraction(c, denominator) for c in counts),
+        numerators=tuple(counts),
+        denominator=comb(params.total, params.good),
     )
 
 

@@ -40,6 +40,7 @@ from urndist import (
     variance,
     variance_float,
 )
+from urndist.exact import binomial_numerators
 
 DESK_MAX_TOTAL = 200
 LEMMA_MAX = 300
@@ -70,42 +71,45 @@ def desk_sweep():
         "shape_mode": [],
         "median": [],
     }
-    half = Fraction(1, 2)
     for total in range(1, DESK_MAX_TOTAL + 1):
         for good in range(1, total + 1):
             params = UrnParams(total, good)
-            probs = pmf_table(params).probabilities
+            table = pmf_table(params)
+            # the sums are integers over the table's denominator
+            nums, full = table.numerators, table.denominator
 
-            s0 = Fraction(0)
-            s1 = Fraction(0)
-            s2 = Fraction(0)
+            s0 = s1 = s2 = 0
             prefix_ok = True
             scan_median = None
             shape_ok = True
-            for n, p in enumerate(probs, start=1):
-                s0 += p
-                s1 += n * p
-                s2 += n * n * p
-                if cdf(params, n) != s0:
+            for n, a in enumerate(nums, start=1):
+                s0 += a
+                s1 += n * a
+                s2 += n * n * a
+                c = cdf(params, n)
+                if c.numerator * full != s0 * c.denominator:
                     prefix_ok = False
-                if scan_median is None and s0 >= half:
+                if scan_median is None and 2 * s0 >= full:
                     scan_median = n
                 if n > 1:
-                    prev = probs[n - 2]
+                    prev = nums[n - 2]
                     if good == 1:
-                        shape_ok = shape_ok and p == prev
+                        shape_ok = shape_ok and a == prev
                     else:
-                        shape_ok = shape_ok and p < prev
+                        shape_ok = shape_ok and a < prev
             if good == 1:
-                shape_ok = shape_ok and probs[0] == Fraction(1, total)
+                shape_ok = shape_ok and nums[0] * total == full
 
-            if s1 != mean(params):
-                out["mean"].append(f"total={total} good={good}: sum n*P(n) = {s1}")
-            if s2 - s1 * s1 != variance(params):
+            moment_mean = Fraction(s1, full)
+            if moment_mean != mean(params):
+                out["mean"].append(f"total={total} good={good}: sum n*P(n) = {moment_mean}")
+            # s2/D - (s1/D)^2 over D^2
+            moment_var = Fraction(s2 * full - s1 * s1, full * full)
+            if moment_var != variance(params):
                 out["variance"].append(
-                    f"total={total} good={good}: moment gives {s2 - s1 * s1}"
+                    f"total={total} good={good}: moment gives {moment_var}"
                 )
-            if s0 != 1 or not prefix_ok or cdf(params, params.support_size) != 1:
+            if s0 != full or not prefix_ok or cdf(params, params.support_size) != 1:
                 out["normalization_cdf"].append(f"total={total} good={good}")
 
             expected_mode = range(1, 2) if good > 1 else support(params)
@@ -197,17 +201,14 @@ def test_criterion_7_float_accuracy():
             failures.append(f"variance {params}")
 
     def check_pointwise(params):
-        total, good = params.total, params.good
-        p_exact = Fraction(good, total)
-        prefix = Fraction(0)
-        for n in support(params):
-            if n > 1:
-                p_exact *= Fraction(total - n + 2 - good, total - n + 1)
-            prefix += p_exact
-            ref = float(p_exact)
+        # P(n) = a/D and cdf(n) = (D - b)/D; int true division rounds
+        # correctly, as float(Fraction) does
+        full = binomial(params.total, params.good)
+        for n, (a, b) in enumerate(binomial_numerators(params), start=1):
+            ref = a / full
             if abs(pmf_float(params, n) - ref) > FLOAT_REL_TOL * ref:
                 failures.append(f"pmf {params} n={n}")
-            ref_cdf = float(prefix)
+            ref_cdf = (full - b) / full
             if abs(cdf_float(params, n) - ref_cdf) > FLOAT_REL_TOL * ref_cdf:
                 failures.append(f"cdf {params} n={n}")
 

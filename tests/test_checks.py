@@ -59,12 +59,12 @@ class TestRunAll:
         def corrupted_table(params):
             # shift mass between two support points so sums still hold
             table = real(params)
-            probs = list(table.probabilities)
-            if params.total == 7 and params.good == 2 and len(probs) >= 2:
-                delta = Fraction(1, 1000)
-                probs[0] += delta
-                probs[1] -= delta
-            return PmfTable(params=params, probabilities=tuple(probs))
+            nums = list(table.numerators)
+            if params.total == 7 and params.good == 2 and len(nums) >= 2:
+                nums[0] += 1
+                nums[1] -= 1
+            return PmfTable(params=params, numerators=tuple(nums),
+                            denominator=table.denominator)
 
         monkeypatch.setattr(checks, "pmf_table", corrupted_table)
         results = checks.run_all(8)
@@ -79,15 +79,33 @@ class TestRunAll:
 
         def corrupted_table(params):
             table = real(params)
-            probs = list(table.probabilities)
+            nums = list(table.numerators)
             if params.total == 5 and params.good == 2:
-                probs[0], probs[1] = probs[1], probs[0]
-            return PmfTable(params=params, probabilities=tuple(probs))
+                nums[0], nums[1] = nums[1], nums[0]
+            return PmfTable(params=params, numerators=tuple(nums),
+                            denominator=table.denominator)
 
         monkeypatch.setattr(checks, "pmf_table", corrupted_table)
         for result in checks.run_all(6):
             for message in result.failures:
                 assert "," not in message
+
+    def test_sweep_builds_fractions_per_urn_not_per_point(self, monkeypatch):
+        # the tables are integers over C(total, good): a passing sweep builds
+        # a few Fractions per urn (its moments), none per support point
+        built = 0
+        fraction_new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            nonlocal built
+            built += 1
+            return fraction_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        results = checks.run_all(30)
+        assert all(r.ok for r in results)
+        assert results[1].cases == 465
+        assert built <= 20 * 465  # 9 per urn
 
 
 class TestPinnedOutput:
@@ -132,11 +150,13 @@ class TestPinnedOutput:
 
         def corrupted_table(params):
             urn = (params.total, params.good)
-            probs = list(real(params).probabilities)
+            exact = real(params)
+            nums = list(exact.numerators)
             if urn == (24, 2):
-                probs[0], probs[1] = probs[1], probs[0]
+                nums[0], nums[1] = nums[1], nums[0]
             table = {(21, 3): MeanOff, (22, 5): MassOff}.get(urn, PmfTable)
-            return table(params=params, probabilities=tuple(probs))
+            return table(params=params, numerators=tuple(nums),
+                         denominator=exact.denominator)
 
         monkeypatch.setattr(checks, "pmf_table", corrupted_table)
         results = [(r.name, r.cases, r.failures) for r in checks.run_all(26)]

@@ -906,6 +906,31 @@ class TestOutputHygiene:
         assert proc.returncode == 141
         assert stderr == b""
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "args",
+        [("stats", "--n", "10", "--k", "3"), ("check", "--max-n", "3")],
+        ids=["stats", "check"],
+    )
+    def test_refused_write_exits_3_in_one_line(self, args, fmt, unbuffered):
+        # every write to /dev/full fails with ENOSPC, as on a full disk
+        root = os.path.dirname(os.path.dirname(urndist.__file__))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "urndist.cli", *args, "--format", fmt],
+                env=dict(os.environ, PYTHONPATH=root, PYTHONUNBUFFERED=unbuffered),
+                stdout=full,
+                stderr=subprocess.PIPE,
+                timeout=60,
+            )
+        assert proc.returncode == 3
+        stderr = proc.stderr.decode()
+        assert len(stderr.splitlines()) == 1
+        assert stderr.startswith("error: ")
+        assert "Traceback" not in stderr
+
     def test_deterministic_given_flags(self, runner):
         args = ("converge", "--p-num", "1", "--p-den", "10", "--ns", "100,200")
         assert run(runner, *args).output == run(runner, *args).output
