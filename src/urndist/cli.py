@@ -17,13 +17,15 @@ the columns (a bare value for one column).  An interval of draws (the
 has one write loop: each format states its opening, separator, closing
 and empty table once, and every chunk of rows goes out as one
 ``sys.stdout.write``.  Rows are streamed as they are made, and stdout
-stays empty when a command fails on its first row.  The draws of
-``sample``, one int64 array, are formatted by numpy a slice at a time
-(``_decimal_text``), with no Python object per draw.
+stays empty when a command fails on its first row.  ``sample`` draws
+``_SAMPLE_CHUNK`` values at a time and hands ``_emit`` int64 arrays with
+their renderer, ``_decimal_text``, which formats them with numpy and makes
+no Python object per draw; its memory does not grow with ``--count``.
 
 Exit codes: 0 success, 2 usage or validation error, 3 resource guard
-tripped or stdout write refused, 4 self-check failure, 141 (128 + SIGPIPE)
-when the reader of stdout closes it early.  Every error, a usage error
+tripped (a size, work or output limit) or stdout write refused (the help
+text's included), 4 self-check failure, 141 (128 + SIGPIPE) when the
+reader of stdout closes it early.  Every error, a usage error
 included, is one ``error: ...`` line on stderr.  The environment variable
 URN_SEED supplies a default sampling seed (an explicit --seed always wins).
 """
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import _kernels
 from .convergence import convergence_table
-from .errors import ParameterError, ResourceGuardError, UrnError
+from .errors import ParameterError, ResourceGuardError, UrnError, require_int
 from .exact import (
     UrnParams,
     binomial,
@@ -66,15 +68,24 @@ _ECHO_CHUNK = 1024
 # temporaries stay in cache (2^13 to 2^15 formatted 250k draws equally
 # fast, 2^17 took 18% longer).
 _DIGIT_SLICE = 1 << 15
+# Draws per call of a sampler in `sample`: a chunk's arrays take about a
+# megabyte, whatever --count is.
+_SAMPLE_CHUNK = 1 << 16
 # Largest expected urn-walk work, in lane-steps (one mixed word for one draw
 # at one step), that `sample --method urn` accepts.  On a 2-core Xeon the
-# largest accepted calls took 11 s extrapolated from 1M draws at (1e4, 40),
-# 11 s for 1 draw at good = 1 (17 s if that draw walks the whole support) and
-# 28 s for 2500 draws at good = 40, where the longest walk sets the steps.
+# largest accepted calls took 8.6-9.1 s cold for 8.2M draws at (1e4, 40);
+# in process, 8.3 s for 1 draw at good = 1 that walked 30M of the 39.6M
+# support points, and 10.4 s for 2500 draws at good = 40, where the longest
+# walk sets the steps.
 _WALK_WORK_LIMIT = 2 * 10**9
-# The kernel's fixed cost per step in lane-steps: 8-10.5 us per step of a
-# walk with 1 to 64 lanes against 3.8-4.0 ns per lane-step with 250k lanes.
-_WALK_STEP_LANES = 2500
+# The kernel's fixed cost per step in lane-steps: 0.25-0.39 us per step of a
+# walk with 1 to 64 lanes, in windows of up to 256 steps, against 3.0-4.2 ns
+# per lane-step with 1M lanes.
+_WALK_STEP_LANES = 100
+# Largest CSV output of `sample`, in bytes (JSON adds 5 per draw): 1 TiB.
+# It refuses no count below 2^40 / 20 = 5.5e10 draws (19 digits is the most
+# an int64 draw has), whose draws would take 440 GB as one int64 array.
+_SAMPLE_BYTES_LIMIT = 1 << 40
 
 
 def _frac(value: Fraction) -> str:
@@ -118,15 +129,19 @@ def _decimal_text(values, sep: str) -> str:
     return grid[keep][: -len(sep)].tobytes().decode()
 
 
-def _emit(fmt: str, params_obj: dict, columns: tuple[str, ...], rows, line=None) -> None:
+def _emit(fmt: str, params_obj: dict, columns: tuple[str, ...], rows, line=None,
+          render=None) -> None:
     """Write ``rows``, tuples of the values of ``columns`` (bare values for
     one column), on stdout, one ``write`` per chunk of rows.  A CSV row is
     ``line(row)``; a JSON row is ``dict(zip(columns, row))`` as
     json.dumps(indent=2) prints it.  Row 1 is a chunk of its own and goes
     out with the opening, before row 2 is made; ``_ECHO_CHUNK`` rows make
-    each later chunk.  A one-column int64 array of non-negative values is
-    cut into ``_DIGIT_SLICE``-value chunks and written by ``_decimal_text``,
-    with the same text.
+    each later chunk.
+
+    With ``render``, ``rows`` is already cut into non-empty chunks (the
+    int64 draws of ``sample``), and ``render(chunk, sep)`` is a chunk's
+    text, its values joined by the format's separator; the framing between
+    chunks is the same as between rows.
     """
     # the opening, the separator, whether it ends each row (or sits between
     # rows), the closing, and the whole output of a table with no rows
@@ -139,18 +154,17 @@ def _emit(fmt: str, params_obj: dict, columns: tuple[str, ...], rows, line=None)
         document = json.dumps({"schema_version": 2, "params": params_obj, "rows": []}, indent=2)
         opening = document[: -len("]\n}")] + "\n    "
         sep, ends, closing, empty = ",\n    ", False, "\n  ]\n}\n", document + "\n"
-    if isinstance(rows, np.ndarray):
-        chunks = (rows[lo : lo + _DIGIT_SLICE] for lo in range(0, rows.size, _DIGIT_SLICE))
-        render = lambda values: _decimal_text(values, sep)
+    if render is not None:
+        chunks = rows
     else:
         # a row becomes its line or dict as it is taken: a chunk holds no tuples
         if fmt == "csv":
-            rows, render = map(line, rows), sep.join
+            rows, render = map(line, rows), lambda chunk, sep: sep.join(chunk)
         else:
             if len(columns) > 1:
                 rows = (dict(zip(columns, row)) for row in rows)
             # the chunk's list without its brackets, one level deeper
-            render = lambda chunk: json.dumps(
+            render = lambda chunk, sep: json.dumps(
                 chunk, indent=2, default=_json_range)[4:-2].replace("\n", "\n  ")
         # row 1 alone, then _ECHO_CHUNK rows at a time, up to the first empty chunk
         rows, sizes = iter(rows), itertools.chain([1], itertools.repeat(_ECHO_CHUNK))
@@ -158,7 +172,7 @@ def _emit(fmt: str, params_obj: dict, columns: tuple[str, ...], rows, line=None)
     out, first = sys.stdout, True
     between, after = ("", sep) if ends else (sep, "")
     for chunk in chunks:
-        out.write((opening if first else between) + render(chunk) + after)
+        out.write((opening if first else between) + render(chunk, sep) + after)
         first = False
         del chunk  # free it before the next chunk is made
     out.write(empty if first else closing)
@@ -200,6 +214,29 @@ def _require_walk_budget(total: int, good: int, count: int) -> None:
             f"{count} urn walks of mean length (n+1)/(k+1) exceed the work "
             f"limit of {_WALK_WORK_LIMIT:.3g} lane-steps; use --method inverse"
         )
+
+
+def _require_output_budget(support: int, count: int) -> None:
+    """Refuse a sample whose CSV text, up to ``count`` times the digits of
+    the support plus a newline, exceeds ``_SAMPLE_BYTES_LIMIT`` bytes.
+
+    A chunked draw allocates nothing up front, so this bounds the run;
+    ``cmd_sample`` calls it before any output, and ``main`` exits 3.
+    """
+    if count * (len(str(support)) + 1) > _SAMPLE_BYTES_LIMIT:
+        raise ResourceGuardError(
+            f"{count} draws of up to {len(str(support))} digits exceed the output "
+            f"limit of {_SAMPLE_BYTES_LIMIT} bytes"
+        )
+
+
+def _draw_slices(draw, params: UrnParams, state: SamplerState, count: int):
+    # `count` draws of the sampler `draw`, _SAMPLE_CHUNK at a time (the state
+    # advances, so the draw indices run on), in _DIGIT_SLICE-value slices
+    for lo in range(0, count, _SAMPLE_CHUNK):
+        values = draw(params, state, min(_SAMPLE_CHUNK, count - lo))
+        for i in range(0, values.size, _DIGIT_SLICE):
+            yield values[i : i + _DIGIT_SLICE]
 
 
 def _table_rows(params: UrnParams):
@@ -305,15 +342,17 @@ def cmd_sample(
 ) -> None:
     """Draw variates; the stream is a pure function of (seed, method)."""
     params = UrnParams(total=total, good=good)
+    require_int("count", count, 1)
+    _require_output_budget(params.support_size, count)
     seed = _resolve_seed(seed)
-    state = SamplerState(seed=seed)
     if method == "urn":
         _require_walk_budget(total, good, count)
-        values = sample_urn_walk_batch(params, state, count)
+        draw = sample_urn_walk_batch
     else:
-        values = sample_inverse_cdf_batch(params, state, count)
+        draw = sample_inverse_cdf_batch
     params_obj = {"n": total, "k": good, "count": count, "seed": seed, "method": method}
-    _emit(fmt, params_obj, ("value",), values)
+    slices = _draw_slices(draw, params, SamplerState(seed=seed), count)
+    _emit(fmt, params_obj, ("value",), slices, render=_decimal_text)
 
 
 @_command(
@@ -371,13 +410,28 @@ def cmd_check(max_total: int, force: bool, fmt: str) -> None:
         sys.exit(4)
 
 
+class _Help(argparse.Action):
+    """``--help``: the help text on stdout, then exit 0.  Unlike argparse's
+    own help action, it lets a refused write raise, so that ``main`` reports
+    it as it does for any other output."""
+
+    def __init__(self, option_strings, dest=argparse.SUPPRESS, default=argparse.SUPPRESS,
+                 help=None) -> None:
+        super().__init__(option_strings, dest=dest, default=default, nargs=0, help=help)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        sys.stdout.write(parser.format_help())
+        sys.stdout.flush()
+        parser.exit()
+
+
 class _Parser(argparse.ArgumentParser):
     """Full option names only, ``--help`` without ``-h``, and a usage error
     as one ``error: ...`` line on stderr with exit 2."""
 
     def __init__(self, **kwargs) -> None:
         super().__init__(add_help=False, allow_abbrev=False, **kwargs)
-        self.add_argument("--help", action="help", help="Show this message and exit.")
+        self.add_argument("--help", action=_Help, help="Show this message and exit.")
 
     def error(self, message: str):
         print(f"error: {message}", file=sys.stderr)
@@ -403,11 +457,11 @@ def _parser() -> _Parser:
 
 def main(args: list[str] | None = None) -> None:
     """Run ``urn`` on ``args`` (``sys.argv[1:]`` when None); map the package's
-    errors and a failed write to stdout onto exit codes 2, 3 and 141."""
-    options = vars(_parser().parse_args(args))
-    run = options.pop("run")
+    errors and a failed write to stdout, the help text's included, onto exit
+    codes 2, 3 and 141."""
     try:
-        run(**options)
+        options = vars(_parser().parse_args(args))
+        options.pop("run")(**options)
     except (ResourceGuardError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(3)

@@ -5,9 +5,15 @@ failures, the success chance is good/(total-k+1).  ``sample_inverse_cdf``
 inverts the floating-point cdf at a uniform instead, by sequential search
 (Devroye 1986, ch. II.2): the uniforms are sorted and placed on the cdf
 one ``floats.cdf_blocks`` block at a time, and the scan stops at the block
-of the largest quantile, so memory is O(count + block) at every support
-size.  The two methods share nothing but the uniform stream, which makes
-them useful as cross-checks of each other and of the closed forms.
+of the largest quantile, so a call's memory is O(count + block) at every
+support size.  The two methods share nothing but the uniform stream, which
+makes them useful as cross-checks of each other and of the closed forms.
+
+A batch call holds its ``count`` draws at once.  Because the streams do not
+depend on batch sizes, a caller that wants memory flat in the number of
+draws calls a batch sampler once per chunk with the same state, as
+``urn sample`` does with chunks of 2^16 draws; the inverse sampler then
+scans its cdf blocks once per chunk.
 
 Both consume one substream per variate from the counter-based generator in
 :mod:`urndist.rng`, so results depend only on (seed, draw_index, method) -

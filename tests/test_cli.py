@@ -502,6 +502,74 @@ class TestSample:
         assert result.exit_code == 0
         assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
+    # the benchmark's sample commands: 250000 draws cross three chunks of
+    # cli._SAMPLE_CHUNK draws
+    @pytest.mark.parametrize(
+        "method, total, fmt, digest",
+        [
+            pytest.param(
+                "urn", 10000, "csv",
+                "0ca9221896f2db74afa9ea984a9965948f1f552b126cd11eaef5faae6555ec94",
+                id="urn-csv"),
+            pytest.param(
+                "urn", 10000, "json",
+                "9e51ac1d55a0a3f3823217a3f7f670c10626ca05b68b9221ca553058a8f64774",
+                id="urn-json"),
+            pytest.param(
+                "inverse", 250000, "csv",
+                "717daa37f550be0faaee68baea704dec16fb80b8bd8e724a11181835a4f76999",
+                id="inverse-csv"),
+            pytest.param(
+                "inverse", 250000, "json",
+                "591899adb1e1a091d0097adecf0525763bd99f46768ab54b4bc2387654c03b59",
+                id="inverse-json"),
+        ],
+    )
+    def test_benchmark_streams_pinned(self, runner, method, total, fmt, digest):
+        result = run(runner, "sample", "--n", str(total), "--k", "40", "--count", "250000",
+                     "--method", method, "--seed", "7", "--format", fmt)
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+    @pytest.mark.parametrize("method", ["urn", "inverse"])
+    def test_chunk_size_does_not_change_output(self, runner, monkeypatch, method):
+        # 2501 draws: 2501 chunks of 1, a last chunk of 2 after 833 of 3,
+        # and one of 501 after two of 1000
+        args = ("sample", "--n", "10000", "--k", "40", "--count", "2501",
+                "--method", method, "--seed", "7", "--format")
+        want = {fmt: run(runner, *args, fmt).stdout_bytes for fmt in ("csv", "json")}
+        for chunk in (1, 3, 1000):
+            monkeypatch.setattr(cli_mod, "_SAMPLE_CHUNK", chunk)
+            for fmt in ("csv", "json"):
+                assert run(runner, *args, fmt).stdout_bytes == want[fmt], (chunk, fmt)
+
+    @pytest.mark.parametrize("method", ["urn", "inverse"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_does_not_grow_with_count(self, method, fmt):
+        def peak(count):
+            return _peak_rss_kb("sample", "--n", "10", "--k", "3", "--count", str(count),
+                                "--method", method, "--format", fmt)
+
+        assert peak(10**7) - peak(10**6) < 4 * 1024
+
+    def test_output_guard_limit(self):
+        # (10, 3) has 8 support points, so a draw is 2 bytes of CSV; the rule
+        # count * (digits of the support + 1) <= _SAMPLE_BYTES_LIMIT is exact
+        limit = cli_mod._SAMPLE_BYTES_LIMIT
+        cli_mod._require_output_budget(8, limit // 2)
+        cli_mod._require_output_budget(10**18, limit // 20)
+        with pytest.raises(ResourceGuardError):
+            cli_mod._require_output_budget(8, limit // 2 + 1)
+        with pytest.raises(ResourceGuardError):
+            cli_mod._require_output_budget(10**18, limit // 20 + 1)
+
+    @pytest.mark.parametrize("method", ["urn", "inverse"])
+    def test_output_guard_exit_3(self, method):
+        count = cli_mod._SAMPLE_BYTES_LIMIT // 2 + 1
+        out = _refused_within_2s("sample", "--n", "10", "--k", "3", "--count", str(count),
+                                 "--method", method)
+        assert "output limit" in out.stderr
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_walk_work_guard_exit_3(self, fmt):
         out = _refused_within_2s("sample", "--n", "1000000000000", "--k", "1",
@@ -536,11 +604,19 @@ class TestSample:
 
 def _emit_bytes(fmt, values):
     """The stdout bytes of ``cli._emit`` on ``values``, one column of a
-    `sample`-shaped table."""
+    `sample`-shaped table: an int64 array goes in ``_DIGIT_SLICE``-value
+    slices with ``_decimal_text`` as its renderer, as `sample` hands over
+    its draws, and a list as rows."""
     buffer = io.BytesIO()
     text = io.TextIOWrapper(buffer, encoding="utf-8", write_through=True)
     with contextlib.redirect_stdout(text):
-        cli_mod._emit(fmt, {"count": len(values)}, ("value",), values, str)
+        if isinstance(values, np.ndarray):
+            size = cli_mod._DIGIT_SLICE
+            slices = (values[lo : lo + size] for lo in range(0, values.size, size))
+            cli_mod._emit(fmt, {"count": len(values)}, ("value",), slices,
+                          render=cli_mod._decimal_text)
+        else:
+            cli_mod._emit(fmt, {"count": len(values)}, ("value",), values, str)
     return buffer.getvalue()
 
 
@@ -598,7 +674,8 @@ class TestIntWriter:
         text = io.TextIOWrapper(buffer, encoding="utf-8")  # buffered text layer
         with contextlib.redirect_stdout(text):
             print("before")
-            cli_mod._emit("csv", {}, ("value",), np.array([3, 14], dtype=np.int64), str)
+            cli_mod._emit("csv", {}, ("value",), [np.array([3, 14], dtype=np.int64)],
+                          render=cli_mod._decimal_text)
         assert buffer.getvalue() == b"before\nvalue\n3\n14\n"
 
 
@@ -930,6 +1007,24 @@ class TestOutputHygiene:
         assert len(stderr.splitlines()) == 1
         assert stderr.startswith("error: ")
         assert "Traceback" not in stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command", [(), ("sample",)], ids=["urn", "sample"])
+    def test_refused_help_write_exits_3_in_one_line(self, command, unbuffered):
+        root = os.path.dirname(os.path.dirname(urndist.__file__))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "urndist.cli", *command, "--help"],
+                env=dict(os.environ, PYTHONPATH=root, PYTHONUNBUFFERED=unbuffered),
+                stdout=full,
+                stderr=subprocess.PIPE,
+                timeout=60,
+            )
+        assert proc.returncode == 3
+        stderr = proc.stderr.decode()
+        assert len(stderr.splitlines()) == 1
+        assert stderr.startswith("error: cannot write stdout: ")
 
     def test_deterministic_given_flags(self, runner):
         args = ("converge", "--p-num", "1", "--p-den", "10", "--ns", "100,200")

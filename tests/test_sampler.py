@@ -22,7 +22,7 @@ from urndist import (
 )
 from urndist import _kernels
 from urndist.floats import LOG_FAIL_BLOCK, cdf_blocks
-from urndist.rng import U53, draw_root, step_uniform
+from urndist.rng import GOLDEN_GAMMA, MASK64, U53, draw_root, step_uniform
 
 
 def reference_urn_walk(total: int, good: int, seed: int, draw: int) -> int:
@@ -35,22 +35,54 @@ def reference_urn_walk(total: int, good: int, seed: int, draw: int) -> int:
         step += 1
 
 
+def _unxorshift(word: int, shift: int) -> int:
+    # the z with z ^ (z >> shift) == word
+    z = word
+    for _ in range(64 // shift):
+        z = word ^ (z >> shift)
+    return z
+
+
+def _unpremix(word: int) -> int:
+    # inverse of the SplitMix64 finalizer's first two rounds
+    z = _unxorshift(word * pow(0x94D049BB133111EB, -1, 1 << 64) & MASK64, 27)
+    return _unxorshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & MASK64, 30)
+
+
+def _seed_with_step1_word(word: int) -> int:
+    """A seed whose draw 0 mixes ``word`` at walk step 1: word is
+    mix64(root + GOLDEN_GAMMA) and root is mix64(seed + GOLDEN_GAMMA)."""
+    root = (_unpremix(_unxorshift(word, 31)) - GOLDEN_GAMMA) & MASK64
+    return (_unpremix(_unxorshift(root, 31)) - GOLDEN_GAMMA) & MASK64
+
+
 class TestUrnWalk:
     def test_all_good_always_first(self):
         state = SamplerState(seed=999)
         assert all(sample_urn_walk(UrnParams(3, 3), state) == 1 for _ in range(50))
 
+    # more than _kernels._WINDOW_LANES (2^12) lanes are stepped one step per
+    # pass, in blocks of _kernels._LANE_BLOCK (2^16), until so few are live
+    # that the rest are walked in windows
     @pytest.mark.parametrize(
         "total, good, seed, draw0, count",
         [
-            (37, 5, 99, 0, 2**15 + 4321),  # two lane blocks, compaction
+            (37, 5, 99, 0, 2**15 + 4321),  # stepped, compaction
+            (37, 5, 99, 0, 2**16 + 4321),  # two lane blocks
             (12, 2, 2**63 + 12345, 7, 20000),  # reaches the p = 1 last step
             (5, 5, 3, 11, 50),  # good == total: every draw is 1
             (50, 1, 2**64 - 1, 2**40, 3000),  # good = 1: uniform on 1..50
+            (50, 1, 2**64 - 1, 2**40, 9000),  # the same, stepped first
             (2**54 + 3, 2**53, 8, 1, 2000),  # total > 2^53, p near 1/2
+            (2**53 + 12345, 2**46, 3, 0, 64),  # total > 2^53, ~128-step walks
             (2**60, 2**60 - 7, 8, 0, 100),  # p rounds to 1 at step 1
+            (2**60, 2**60 - 7, 8, 0, 9000),  # the same, stepped
             (10, 3, 12345, 7, 500),  # many short walks from draw 7
             (10, 3, 12345, 2**64 - 1, 500),  # draw indices wrap mod 2^64
+            (10, 3, 12345, 2**64 - 1, 9000),  # the same, stepped
+            (10**4, 40, 7, 0, 1),  # 1 to 64 lanes: 256-step windows
+            (10**4, 40, 7, 3, 7),
+            (10**4, 40, 7, 11, 64),
         ],
     )
     def test_numpy_kernel_matches_reference_walk(
@@ -66,6 +98,26 @@ class TestUrnWalk:
         want = _kernels.urn_walk_batch(12, 2, 5, 0, 20000)
         monkeypatch.setattr(_kernels, "_COMPACT_EVERY", compact_every)
         assert np.array_equal(_kernels.urn_walk_batch(12, 2, 5, 0, 20000), want)
+
+    # p = 0.7, and p = 1 - 2^-40 > 1 - 2^-31, where every word is a candidate
+    @pytest.mark.parametrize("total, good", [(1000, 700), (2**40, 2**40 - 1)])
+    def test_prefilter_confirms_words_at_the_threshold(self, total, good):
+        # step-1 words whose top 31 bits equal the threshold's, where only the
+        # finalizer's last xorshift decides the hit, and words just outside
+        thr = _kernels._hit_threshold(good / total)
+        top, low = thr >> 33 << 33, (1 << 33) - 1
+        lows = np.random.default_rng(good).integers(0, low, 32).tolist()
+        words = [top | x for x in [0, low, (thr & low) - 1, thr & low, (thr & low) + 1, *lows]]
+        words = [w for w in words + [top - 1, top + low + 1] if 0 <= w <= MASK64]
+        # hits that the pre-final word, compared with thr, would miss
+        assert any(w < thr < _unxorshift(w, 31) for w in words)
+        for word in words:
+            seed = _seed_with_step1_word(word)
+            assert step_uniform(draw_root(seed, 0), 0) == (word >> 11) * U53
+            # draw 0 among more lanes than a window takes, so it is stepped
+            got = _kernels.urn_walk_batch(total, good, seed, 0, _kernels._WINDOW_LANES + 1)
+            assert got[0] == reference_urn_walk(total, good, seed, 0)
+            assert (got[0] == 1) == (word < thr), hex(word)
 
     def test_walk_reaches_the_certain_last_step(self):
         got = _kernels.urn_walk_batch(12, 2, 2**63 + 12345, 7, 20000)
