@@ -14,28 +14,29 @@ searches one cdf block for a run of sorted uniforms, and
 The urn walk never forms the uniform: u = (w >> 11) * 2^-53 < p holds
 exactly when the mixed word w is below thr = ceil(p * 2^53) << 11 (for
 p < 1; at p = 1, the last step, every lane hits), so a step is the
-SplitMix64 mix and an integer compare.  It has two phases, and none of
-what follows changes a variate.
+SplitMix64 mix and an integer compare.  The thresholds are
+``_hit_threshold(good / (total - s + 1))`` computed in Python, whose int
+division rounds correctly at any total.  None of what follows changes a
+variate.
 
-While more than 2^12 draws ("lanes") are live, it advances them all one
-step per pass, mixing blocks of 2^16 lanes so that a block's words and
-scratch stay in cache.  The pass leaves out the mix's last xorshift,
+The walk takes 2^16 draws ("lanes") at a time and advances the lanes in
+its arrays a window of steps per pass: min(256, 2^16 // lanes) steps, at
+least one, as one (steps, lanes) grid of at most 2^16 words, so that the
+grid and its scratch stay in cache whether many lanes take one step or a
+single lane takes 256.  The pass leaves out the mix's last xorshift,
 w = z ^ (z >> 31): z >> 31 is below 2^33, so bits 63..33 of w are those
-of z, and w < thr implies z <= thr | (2^33 - 1).  The lanes whose z
+of z, and w < thr implies z <= thr | (2^33 - 1).  The words whose z
 passes that test, about a share p + 2^-31 of them, are the only ones
 whose xorshift is finished and compared with thr (for p > 1 - 2^-31,
-every lane's).  Lanes that finish stay in the arrays, their later hits
-ignored, and the arrays are compacted only once 1/8 of the live lanes
-are done.
+every word's).
 
-The few lanes left are walked a window of up to 256 steps at a time: one
-(lanes, steps) grid of full words, at most 2^16 of them, compared with the
-steps' thresholds, where ``argmax`` takes each lane's first hit; the lanes
-that hit are dropped after each window.  The thresholds are those of the
-one-step pass, ``_hit_threshold(good / (total - s + 1))`` computed in
-Python, whose int division rounds correctly at any total.  This is what
-keeps the fixed cost per step small for the tail of a walk, where few
-lanes are live, and for a single long walk.
+A lane can hit at several steps of one window, and its first hit is the
+one at its least step: ``np.minimum.at`` writes each lane's least hit row
+into a per-lane array, a value that does not depend on the order in which
+the hits are applied, and the hit whose row equals it is kept.  A
+one-step window has at most one hit per lane and skips this.  Lanes that
+finish stay in the arrays, their later hits ignored, and the arrays are
+compacted only once 1/8 of their lanes are done.
 """
 
 from __future__ import annotations
@@ -61,16 +62,14 @@ _U30 = np.uint64(30)
 _U27 = np.uint64(27)
 _U31 = np.uint64(31)
 _U11 = np.uint64(11)
-# the urn walk compacts its lanes once 1/_COMPACT_EVERY of them are done,
-# and mixes them in blocks of _LANE_BLOCK that stay in cache
-_COMPACT_EVERY = 8
+# the urn walk takes _LANE_BLOCK lanes at a time, in windows of up to
+# _WINDOW_STEPS steps whose grid holds <= _LANE_BLOCK words, and compacts its
+# lanes once 1/_COMPACT_EVERY of them are done
 _LANE_BLOCK = 1 << 16
+_WINDOW_STEPS = 256
+_COMPACT_EVERY = 8
 # the low bits of a word that the finalizer's last xorshift can change
 _LOW33 = (1 << 33) - 1
-# at most _WINDOW_LANES live lanes are walked a window of up to
-# _WINDOW_STEPS steps at a time, a window's grid holding <= _LANE_BLOCK words
-_WINDOW_LANES = 1 << 12
-_WINDOW_STEPS = 256
 
 
 def _premix64_np(z: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -83,10 +82,9 @@ def _premix64_np(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return z
 
 
-def _mix64_np(z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
-    """SplitMix64 finalizer over ``z`` in place, returning ``z``; ``t`` is
-    scratch space of the same shape, allocated when not given."""
-    t = np.empty_like(z) if t is None else t
+def _mix64_np(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer over ``z`` in place, returning ``z``."""
+    t = np.empty_like(z)
     _premix64_np(z, t)
     np.right_shift(z, _U31, out=t)
     np.bitwise_xor(z, t, out=z)
@@ -120,100 +118,63 @@ def uniform_block(seed: int, draw0: int, count: int) -> np.ndarray:
     return (words >> _U11).astype(np.float64) * U53
 
 
-def _lane_blocks(roots: np.ndarray, z: np.ndarray, t: np.ndarray):
-    # per block of _LANE_BLOCK lanes: its roots and words, and a view of the
-    # scratch buffer t that every block shares
-    blocks = []
-    for lo in range(0, roots.size, _LANE_BLOCK):
-        n = min(_LANE_BLOCK, roots.size - lo)
-        blocks.append((roots[lo : lo + n], z[lo : lo + n], t[:n]))
-    return blocks
-
-
-def _walk_steps(total: int, good: int, roots: np.ndarray, lanes: np.ndarray, out: np.ndarray):
-    """Advance every live lane one step per pass, until at most
-    ``_WINDOW_LANES`` are live; returns their roots, out indices and next step."""
-    hit, done = np.empty(lanes.size, dtype=bool), np.zeros(lanes.size, dtype=bool)
-    z = np.empty(lanes.size, dtype=np.uint64)  # a step's words before the last xorshift
-    t = np.empty(min(lanes.size, _LANE_BLOCK), dtype=np.uint64)
-    blocks = _lane_blocks(roots, z, t)
-    finished = 0
-    step = 1
-    while True:
-        p_step = good / (total - step + 1)
-        if p_step >= 1.0:  # the last step, or a step whose p rounds to 1
-            out[lanes[~done]] = step
-            return roots[:0], lanes[:0], step
-        thr = _hit_threshold(p_step)
-        # fold the step offset in python ints: numpy scalar uint64 would warn
-        offset = np.uint64((step * GOLDEN_GAMMA) & MASK64)
-        cap = np.uint64(thr | _LOW33)  # every hit's pre-final word is <= cap
-        for roots_b, z_b, t_b in blocks:
-            np.add(roots_b, offset, out=z_b)
-            _premix64_np(z_b, t_b)
-        idx = np.flatnonzero(np.less_equal(z, cap, out=hit))
-        if idx.size:
-            if finished:
-                idx = idx[~done[idx]]
-            w = z[idx]
-            w ^= w >> _U31
-            idx = idx[w < np.uint64(thr)]  # the candidates that hit
-            out[lanes[idx]] = step
-            done[idx] = True
-            finished += idx.size
-            if finished * _COMPACT_EVERY >= lanes.size:
-                keep = ~done
-                roots, lanes = roots[keep], lanes[keep]
-                if lanes.size <= _WINDOW_LANES:
-                    return roots, lanes, step + 1
-                hit, done, z = hit[: lanes.size], done[: lanes.size], z[: lanes.size]
-                done[:] = False
-                blocks = _lane_blocks(roots, z, t)
-                finished = 0
-        step += 1
-
-
-def _walk_windows(
-    total: int, good: int, roots: np.ndarray, lanes: np.ndarray, step: int, out: np.ndarray
-) -> None:
-    """Finish the live lanes a window of steps at a time: one (lanes, steps)
-    grid of words per window, each lane's first hit taken by ``argmax``."""
-    z = np.empty(_LANE_BLOCK, dtype=np.uint64)
+def _walk(total: int, good: int, roots: np.ndarray, out: np.ndarray) -> None:
+    """Walk the lanes of ``roots`` (at most ``_LANE_BLOCK``) one window of
+    steps per pass; ``out[i]`` gets the step of lane i's first hit."""
+    lanes = np.arange(roots.size)  # the out index of each lane in the arrays
+    done = np.zeros(roots.size, dtype=bool)
+    z = np.empty(_LANE_BLOCK, dtype=np.uint64)  # a window's words before the last xorshift
     t = np.empty_like(z)
+    first = np.full(_LANE_BLOCK, _WINDOW_STEPS)  # per lane: its least hit row in a window
+    finished, step = 0, 1
     while lanes.size:
-        thr = []  # steps up to the window's size, stopping at a p that rounds to 1
-        for s in range(step, step + min(_WINDOW_STEPS, _LANE_BLOCK // lanes.size)):
+        thr = []  # the window's steps, stopping at a p that rounds to 1
+        for s in range(step, step + max(1, min(_WINDOW_STEPS, _LANE_BLOCK // lanes.size))):
             p_step = good / (total - s + 1)
             if p_step >= 1.0:
                 break
             thr.append(_hit_threshold(p_step))
         if not thr:  # every live lane hits at this step
-            out[lanes] = step
+            out[lanes[~done]] = step
             return
-        size = lanes.size * len(thr)
-        zw, tw = (b[:size].reshape(lanes.size, len(thr)) for b in (z, t))
-        offsets = np.arange(len(thr), dtype=np.uint64) * _GAMMA_U
-        offsets += np.uint64((step * GOLDEN_GAMMA) & MASK64)
-        np.add(roots[:, None], offsets, out=zw)
-        hits = _mix64_np(zw, tw) < np.array(thr, dtype=np.uint64)
-        first = hits.argmax(axis=1)  # 0 also for a lane with no hit
-        hit = hits[np.arange(lanes.size), first]
-        out[lanes[hit]] = step + first[hit]
-        roots, lanes = roots[~hit], lanes[~hit]
-        step += len(thr)
+        width, thr = len(thr), np.array(thr, dtype=np.uint64)
+        zw, tw = (b[: width * lanes.size].reshape(width, lanes.size) for b in (z, t))
+        offsets = np.arange(step, step + width, dtype=np.uint64) * _GAMMA_U
+        np.add(roots, offsets[:, None], out=zw)
+        _premix64_np(zw, tw)
+        # candidates: every hit's pre-final word is <= thr | 2^33 - 1
+        idx = np.flatnonzero(zw <= (thr | np.uint64(_LOW33))[:, None])
+        if idx.size:
+            w = z[idx]
+            w ^= w >> _U31
+            rows = idx // lanes.size
+            cols = idx - rows * lanes.size
+            hit = w < thr[rows]  # the candidates that hit
+            rows, cols = rows[hit], cols[hit]
+            if width > 1:  # keep each lane's first hit: the least row among its hits
+                np.minimum.at(first, cols, rows)
+                keep = first[cols] == rows
+                first[cols] = _WINDOW_STEPS
+                rows, cols = rows[keep], cols[keep]
+            new = ~done[cols]  # a done lane's later hits are ignored
+            rows, cols = rows[new], cols[new]
+            out[lanes[cols]] = step + rows
+            done[cols] = True
+            finished += cols.size
+            if finished * _COMPACT_EVERY >= lanes.size:
+                roots, lanes = roots[~done], lanes[~done]
+                done, finished = np.zeros(lanes.size, dtype=bool), 0
+        step += width
 
 
-def urn_walk_batch(
-    total: int, good: int, seed: int, draw0: int, count: int
-) -> np.ndarray:
+def urn_walk_batch(total: int, good: int, seed: int, draw0: int, count: int) -> np.ndarray:
     """Simulate ``count`` shrinking-urn walks; element t is the first-success
-    draw index of substream draw0+t."""
+    draw index of substream draw0+t.  The walks are made ``_LANE_BLOCK`` at
+    a time, so a call's scratch does not grow with ``count``."""
     out = np.empty(count, dtype=np.int64)
-    roots = _draw_roots_np(seed, draw0, count)
-    lanes, step = np.arange(count), 1  # the out index of each live lane
-    if count > _WINDOW_LANES:
-        roots, lanes, step = _walk_steps(total, good, roots, lanes, out)
-    _walk_windows(total, good, roots, lanes, step, out)
+    for lo in range(0, count, _LANE_BLOCK):
+        n = min(_LANE_BLOCK, count - lo)
+        _walk(total, good, _draw_roots_np(seed, draw0 + lo, n), out[lo : lo + n])
     return out
 
 

@@ -73,14 +73,14 @@ _DIGIT_SLICE = 1 << 15
 _SAMPLE_CHUNK = 1 << 16
 # Largest expected urn-walk work, in lane-steps (one mixed word for one draw
 # at one step), that `sample --method urn` accepts.  On a 2-core Xeon the
-# largest accepted calls took 8.6-9.1 s cold for 8.2M draws at (1e4, 40);
-# in process, 8.3 s for 1 draw at good = 1 that walked 30M of the 39.6M
-# support points, and 10.4 s for 2500 draws at good = 40, where the longest
-# walk sets the steps.
+# largest accepted calls took 8.9-13 s cold for 8.2M draws at (1e4, 40);
+# in process, 9.2-12.4 s for 1 draw at good = 1 that walked 30M of the 39.6M
+# support points, and 9.1-11.3 s for 2500 draws at good = 40, where the
+# longest walk sets the steps.
 _WALK_WORK_LIMIT = 2 * 10**9
-# The kernel's fixed cost per step in lane-steps: 0.25-0.39 us per step of a
-# walk with 1 to 64 lanes, in windows of up to 256 steps, against 3.0-4.2 ns
-# per lane-step with 1M lanes.
+# The kernel's fixed cost per step in lane-steps: 0.32-0.52 us per step of a
+# walk with 1 to 64 lanes, in windows of 256 steps, against 4.0-5.3 ns per
+# lane-step for 1M draws in 2^16-lane blocks.
 _WALK_STEP_LANES = 100
 # Largest CSV output of `sample`, in bytes (JSON adds 5 per draw): 1 TiB.
 # It refuses no count below 2^40 / 20 = 5.5e10 draws (19 digits is the most

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from urndist import (
@@ -35,6 +37,36 @@ def reference_urn_walk(total: int, good: int, seed: int, draw: int) -> int:
         step += 1
 
 
+# Mean reference-walk steps per example of the property test: one example
+# takes at most ~0.3 s of scalar walks.
+_PROPERTY_STEPS = 2**18
+
+
+@st.composite
+def walk_batches(draw):
+    """Arguments of ``urn_walk_batch``: good near 1, near total or a share of
+    it; draw0 near 0 or near 2^64; a count of 1 to 2^16 + 3 whose walks take
+    about ``_PROPERTY_STEPS`` reference steps at most."""
+    kind = draw(st.sampled_from(["few good", "few bad", "share"]))
+    if kind == "few good":  # long walks, nearly uniform on 1..total-good+1
+        good = draw(st.integers(1, 4))
+        total = good + draw(st.integers(0, 4000))
+    else:  # a total of 1 to 60 bits
+        bits = draw(st.integers(1, 60))
+        total = draw(st.integers(2 ** (bits - 1), 2**bits))
+    if kind == "few bad":  # p near 1; it rounds to 1 past 2^53
+        good = max(1, total - draw(st.integers(0, 64)))
+    elif kind == "share":  # p near 1/m: walks of ~m steps, several hits per window
+        good = max(1, total // draw(st.integers(2, 300)))
+    mean = (total + 1) // (good + 1) + 1
+    top = min(2**16 + 3, max(1, _PROPERTY_STEPS // mean))
+    count = draw(st.one_of(st.integers(1, top), st.just(top)))
+    draw0 = draw(st.integers(0, 2**17))
+    if draw(st.booleans()):
+        draw0 = MASK64 - draw0
+    return total, good, draw(st.integers(0, MASK64)), draw0, count
+
+
 def _unxorshift(word: int, shift: int) -> int:
     # the z with z ^ (z >> shift) == word
     z = word
@@ -61,28 +93,32 @@ class TestUrnWalk:
         state = SamplerState(seed=999)
         assert all(sample_urn_walk(UrnParams(3, 3), state) == 1 for _ in range(50))
 
-    # more than _kernels._WINDOW_LANES (2^12) lanes are stepped one step per
-    # pass, in blocks of _kernels._LANE_BLOCK (2^16), until so few are live
-    # that the rest are walked in windows
+    # the kernel walks _kernels._LANE_BLOCK (2^16) lanes at a time, each pass
+    # a window of min(256, 2^16 // lanes) steps, at least one: one step while
+    # more than 2^15 lanes are in its arrays, 256 steps once 256 or fewer are
     @pytest.mark.parametrize(
         "total, good, seed, draw0, count",
         [
-            (37, 5, 99, 0, 2**15 + 4321),  # stepped, compaction
-            (37, 5, 99, 0, 2**16 + 4321),  # two lane blocks
+            (37, 5, 99, 0, 2**15 + 4321),  # short windows, compaction
+            (37, 5, 99, 0, 2**16 + 4321),  # a full block, then 4321 lanes
             (12, 2, 2**63 + 12345, 7, 20000),  # reaches the p = 1 last step
             (5, 5, 3, 11, 50),  # good == total: every draw is 1
             (50, 1, 2**64 - 1, 2**40, 3000),  # good = 1: uniform on 1..50
-            (50, 1, 2**64 - 1, 2**40, 9000),  # the same, stepped first
+            (50, 1, 2**64 - 1, 2**40, 9000),  # the same, 7-step windows first
             (2**54 + 3, 2**53, 8, 1, 2000),  # total > 2^53, p near 1/2
             (2**53 + 12345, 2**46, 3, 0, 64),  # total > 2^53, ~128-step walks
             (2**60, 2**60 - 7, 8, 0, 100),  # p rounds to 1 at step 1
-            (2**60, 2**60 - 7, 8, 0, 9000),  # the same, stepped
+            (2**60, 2**60 - 7, 8, 0, 9000),  # the same, more lanes
             (10, 3, 12345, 7, 500),  # many short walks from draw 7
             (10, 3, 12345, 2**64 - 1, 500),  # draw indices wrap mod 2^64
-            (10, 3, 12345, 2**64 - 1, 9000),  # the same, stepped
+            (10, 3, 12345, 2**64 - 1, 9000),  # the same, more lanes
             (10**4, 40, 7, 0, 1),  # 1 to 64 lanes: 256-step windows
             (10**4, 40, 7, 3, 7),
             (10**4, 40, 7, 11, 64),
+            (1000, 700, 5, 0, 64),  # lanes hit at several steps of one window
+            (37, 5, 6, 0, 2**16),  # one full block: one step per pass first
+            (37, 5, 6, 0, 2**16 + 1),  # a full block, then a 1-lane block
+            (10, 3, 12345, 2**64 - 1, 2**16 + 5),  # blocks across the wrap
         ],
     )
     def test_numpy_kernel_matches_reference_walk(
@@ -114,10 +150,20 @@ class TestUrnWalk:
         for word in words:
             seed = _seed_with_step1_word(word)
             assert step_uniform(draw_root(seed, 0), 0) == (word >> 11) * U53
-            # draw 0 among more lanes than a window takes, so it is stepped
-            got = _kernels.urn_walk_batch(total, good, seed, 0, _kernels._WINDOW_LANES + 1)
-            assert got[0] == reference_urn_walk(total, good, seed, 0)
-            assert (got[0] == 1) == (word < thr), hex(word)
+            want = reference_urn_walk(total, good, seed, 0)
+            assert (want == 1) == (word < thr), hex(word)
+            # draw 0 alone (a 256-step window) and in a full block (one step
+            # per pass)
+            for count in (1, _kernels._LANE_BLOCK):
+                assert _kernels.urn_walk_batch(total, good, seed, 0, count)[0] == want
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(walk_batches())
+    def test_kernel_matches_reference_walk_property(self, args):
+        total, good, seed, draw0, count = args
+        got = _kernels.urn_walk_batch(total, good, seed, draw0, count)
+        want = [reference_urn_walk(total, good, seed, draw0 + t) for t in range(count)]
+        assert got.tolist() == want
 
     def test_walk_reaches_the_certain_last_step(self):
         got = _kernels.urn_walk_batch(12, 2, 2**63 + 12345, 7, 20000)
