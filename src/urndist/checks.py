@@ -23,7 +23,6 @@ from .errors import ResourceGuardError, require_int
 from .exact import (
     PmfTable,
     UrnParams,
-    binomial,
     cdf,
     mean,
     median,
@@ -40,11 +39,11 @@ __all__ = ["FamilyResult", "run_all"]
 
 # Largest max_total that a sweep accepts without force.  Its cost grows as
 # max_total^3, most of it in `lemma-sums`: on a 2-core Xeon VM under Python
-# 3.11, the sweep took 0.2-0.4 s at 30, 0.9-1.3 s at 105, 3.2-3.4 s at 150
-# and 8.4-10.4 s at 200 in process (lemma-sums 6.3 s of the 10.4), and the
-# medians of cold `urn check --max-n` runs (no cached bytecode for urndist,
-# unbuffered stdout; 3-5 runs in each of two batches) were 1.4-1.8 s at
-# 105, 3.6-4.0 s at 150, 7.9-10.3 s at 200, 9.9-12.8 s at 210 and 15 s at 220.
+# 3.11, the sweep took 0.2-0.3 s at 30, 1.0-1.1 s at 105, 2.6-2.7 s at 150
+# and 6.3-7.5 s at 200 in process (lemma-sums 2.6-3.4 s of it), and cold
+# `urn check --max-n` runs (no cached bytecode for urndist, unbuffered
+# stdout; 3 runs each) took 1.0-1.3 s at 105, 2.3-2.8 s at 150, 5.9-6.8 s
+# at 200, 8.7 s at 210 and 9.6 s at 220.
 _SWEEP_LIMIT = 200
 
 
@@ -163,7 +162,7 @@ def _check_sum_identities(max_total: int) -> FamilyResult:
         prefix = {k - 1: 0}
         jprefix = {k - 1: 0}
         for j in range(k, max_total + 1):
-            term = binomial(j, k)
+            term = comb(j, k)
             prefix[j] = prefix[j - 1] + term
             jprefix[j] = jprefix[j - 1] + j * term
         for n in range(k, max_total + 1):

@@ -410,28 +410,20 @@ def cmd_check(max_total: int, force: bool, fmt: str) -> None:
         sys.exit(4)
 
 
-class _Help(argparse.Action):
-    """``--help``: the help text on stdout, then exit 0.  Unlike argparse's
-    own help action, it lets a refused write raise, so that ``main`` reports
-    it as it does for any other output."""
-
-    def __init__(self, option_strings, dest=argparse.SUPPRESS, default=argparse.SUPPRESS,
-                 help=None) -> None:
-        super().__init__(option_strings, dest=dest, default=default, nargs=0, help=help)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        sys.stdout.write(parser.format_help())
-        sys.stdout.flush()
-        parser.exit()
-
-
 class _Parser(argparse.ArgumentParser):
     """Full option names only, ``--help`` without ``-h``, and a usage error
     as one ``error: ...`` line on stderr with exit 2."""
 
     def __init__(self, **kwargs) -> None:
         super().__init__(add_help=False, allow_abbrev=False, **kwargs)
-        self.add_argument("--help", action=_Help, help="Show this message and exit.")
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def print_help(self, file=None) -> None:
+        # argparse's own ignores a refused write; this one lets it raise, so
+        # that ``main`` reports it as it does for any other output
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
 
     def error(self, message: str):
         print(f"error: {message}", file=sys.stderr)

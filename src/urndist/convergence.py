@@ -41,7 +41,7 @@ import numpy as np
 from . import _kernels
 from .errors import ParameterError, ResourceGuardError, require_int
 from .exact import UrnParams
-from .floats import LOG_FAIL_BLOCK
+from .floats import LOG_FAIL_BLOCK, _workspace
 
 __all__ = [
     "ConvergenceRecord",
@@ -111,19 +111,18 @@ def _tv_stats(params: UrnParams) -> tuple[float, float, int]:
     max_err = 0.0
     at_n = 1
     start = 1
-    # one set of block buffers per call; n_minus_1 steps one block at a time
-    n_minus_1 = np.arange(min(LOG_FAIL_BLOCK, size), dtype=np.float64)
-    geom, diff = np.empty_like(n_minus_1), np.empty_like(n_minus_1)
+    # the float layer's workspace: k = 0, 1, ... and its two scratch blocks,
+    # which are free once pmf_float_range returns, so they are filled after it
+    k, geom, diff = _workspace()
     while start <= size:
         rest = 2.0 * q ** (start - 1)  # bounds both laws' mass at n >= start
         if rest < max_err and rest <= 2.0**-60 * scanned:
             break
         count = min(LOG_FAIL_BLOCK, size - start + 1)
-        if start > 1:
-            n_minus_1 += LOG_FAIL_BLOCK  # exact below 2^53, far past any scan
         urn = _kernels.pmf_float_range(total, good, start, count)
         g, d = geom[:count], diff[:count]
-        np.power(q, n_minus_1[:count], out=g)
+        np.add(k[:count], float(start - 1), out=g)  # n - 1: exact below 2^53, far past any scan
+        np.power(q, g, out=g)
         np.multiply(g, p, out=g)
         np.subtract(urn, g, out=d)
         np.abs(d, out=d)

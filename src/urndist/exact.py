@@ -260,7 +260,7 @@ def sum_binom_closed(k: int, n: int) -> int:
     """Closed form of sum_{j=k}^{n} C(j, k): the hockey-stick value C(n+1, k+1)."""
     require_int("k", k, 0)
     require_int("n", n, k)
-    return binomial(n + 1, k + 1)
+    return math.comb(n + 1, k + 1)
 
 
 def sum_binom_from_closed(x: int, k: int, n: int) -> int:
@@ -268,11 +268,11 @@ def sum_binom_from_closed(x: int, k: int, n: int) -> int:
     require_int("k", k, 0)
     require_int("x", x, k)
     require_int("n", n, x)
-    return binomial(n + 1, k + 1) - binomial(x, k + 1)
+    return math.comb(n + 1, k + 1) - math.comb(x, k + 1)
 
 
 def sum_j_binom_closed(k: int, n: int) -> int:
     """Closed form of sum_{j=k}^{n} j C(j, k): n C(n+1, k+1) - C(n+1, k+2)."""
     require_int("k", k, 0)
     require_int("n", n, k)
-    return n * binomial(n + 1, k + 1) - binomial(n + 1, k + 2)
+    return n * math.comb(n + 1, k + 1) - math.comb(n + 1, k + 2)

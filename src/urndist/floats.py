@@ -27,14 +27,15 @@ Block workspace
 ---------------
 A block is ``LOG_FAIL_BLOCK`` points, and its temporaries are written with
 in-place ufuncs (``out=``), in the same operation order as the scalar
-expressions, into a per-thread workspace of three such blocks and 512
-doubles (772 KiB, allocated once per thread; m, a and b are rebuilt from
-the offsets k where needed rather than kept).  So a block allocates no
-array of its size but its result, and its values do not depend on the
-workspace.  The workspace holds values
-only within one call: every array returned or yielded here or by
-``_kernels`` is fresh, so ``list(cdf_blocks(...))`` keeps every block, and
-threads never share scratch space.
+expressions, into a per-thread workspace of three such blocks (768 KiB,
+allocated once per thread; m, a and b are rebuilt from the offsets k where
+needed rather than kept).  So a block allocates no array of its size but
+its result, and its values do not depend on the workspace.  The
+workspace is the float layer's only scratch: ``_kernels.pmf_float_range``
+and the convergence scan use its two scratch blocks between block calls.
+It holds values only within one call: every array returned or yielded here
+or by ``_kernels`` is fresh, so ``list(cdf_blocks(...))`` keeps every
+block, and threads never share scratch space.
 
 Stated bounds: 1e-13 relative on log-fail values however small, and
 1e-10 relative on pmf and cdf values.  ``pmf_float`` rounds once, in its
@@ -67,8 +68,9 @@ __all__ = [
 
 NEG_INF = float("-inf")
 
-# stirlerr(n) = log(n!) - log(sqrt(2*pi*n) * (n/e)**n) for n = 0..15,
-# correctly rounded (stirlerr(0) is a placeholder: no caller needs it).
+# stirlerr(n) = log(n!) - log(sqrt(2*pi*n) * (n/e)**n) for n = 0..500:
+# correctly rounded for n = 0..15 (stirlerr(0) is a placeholder: no caller
+# needs it), then the Stirling series to 5 terms, filled in below.
 _STIRLERR_SMALL = (
     0.0,
     0.08106146679532726,
@@ -93,21 +95,23 @@ _S1 = 1 / 360
 _S2 = 1 / 1260
 _S3 = 1 / 1680
 _S4 = 1 / 1188
+_STIRLERR_SMALL += tuple(
+    (_S0 - (_S1 - (_S2 - (_S3 - _S4 / n**2) / n**2) / n**2) / n**2) / n
+    for n in range(16, 501)
+)
+_STIRLERR_TABLE = np.array(_STIRLERR_SMALL)
 _HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 
 
 def _stirlerr(n: int) -> float:
     """Error of Stirling's formula for log(n!), for integers n >= 0.
 
-    Table below 16, then the series to 5 terms, or to 2 above 500, where
-    the next term falls below 2e-16 absolute (R nmath ``stirlerr.c``).
+    The table up to 500, then the series to 2 terms, where the next term
+    falls below 2e-16 absolute (R nmath ``stirlerr.c``).
     """
-    if n <= 15:
+    if n <= 500:
         return _STIRLERR_SMALL[n]
-    nn = n * n
-    if n > 500:
-        return (_S0 - _S1 / nn) / n
-    return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / nn) / nn) / nn) / nn) / n
+    return (_S0 - _S1 / (n * n)) / n
 
 
 # Totals from here on are refused: the Stirling series divides by n*n, which
@@ -160,8 +164,6 @@ def _log_fail(total: int, good: int, m: int) -> float:
             + 0.5 * math.log(bad * good / total)
         )
     a = bad - m
-    st_a = (_S0 - _S1 / (a * a)) / a if a > 500 else _stirlerr(a)
-    st_b = (_S0 - _S1 / (b * b)) / b if b > 500 else _stirlerr(b)
     # log(a*total/(bad*b)) = log(1 - r) with r = m*good/(bad*b)
     mg = m * good
     bad_b = bad * b
@@ -174,8 +176,8 @@ def _log_fail(total: int, good: int, m: int) -> float:
         + m * log_p_bad
         - (a + 0.5) * log_ratio
         + st_const
-        - st_a
-        + st_b
+        - _stirlerr(a)
+        + _stirlerr(b)
     )
 
 
@@ -184,42 +186,35 @@ def _log_fail(total: int, good: int, m: int) -> float:
 # that holds values only within one call: every array this module or
 # ``_kernels`` returns or yields is fresh.
 LOG_FAIL_BLOCK = 1 << 15
-_STIRLERR_TABLE = np.array(_STIRLERR_SMALL)
 _local = threading.local()
 
 
-def _workspace() -> tuple[np.ndarray, ...]:
-    """This thread's blocks of LOG_FAIL_BLOCK doubles: the read-only
-    k = 0, 1, ..., then two scratch blocks for ``_log_fail_into``, which
-    its callers may use between its calls, and the 5-term stirlerr
-    scratch, which holds at most 485 points."""
+def _workspace() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's three blocks of LOG_FAIL_BLOCK doubles, (k, x, y): the
+    read-only k = 0, 1, ..., then two scratch blocks for ``_log_fail_into``.
+
+    The scratch blocks are free once ``_log_fail_into``, or a caller of it
+    such as ``_kernels.pmf_float_range``, returns: other code on the thread
+    may use them if it fills them after each such call and reads them
+    before the next."""
     blocks = getattr(_local, "blocks", None)
     if blocks is None:
         k = np.arange(LOG_FAIL_BLOCK, dtype=np.float64)
         k.flags.writeable = False
-        blocks = _local.blocks = (k, *np.empty((2, LOG_FAIL_BLOCK)), np.empty(512))
+        blocks = _local.blocks = (k, *np.empty((2, LOG_FAIL_BLOCK)))
     return blocks
 
 
 def _stirlerr_block(x0: int, x: np.ndarray, out: np.ndarray) -> None:
     # _stirlerr at the descending block x = x0 - k into out: the 2-term
-    # series above 500, the 5-term series (at most 485 points, x = 16..500),
-    # then the table, as three contiguous slices
-    i, j = (min(max(x0 - cut, 0), x.size) for cut in (500, 15))
+    # series above 500, then the table, as two contiguous slices
+    i = min(max(x0 - 500, 0), x.size)
     o, v = out[:i], x[:i]  # (_S0 - _S1 / (x*x)) / x
     np.multiply(v, v, out=o)
     np.divide(_S1, o, out=o)
     np.subtract(_S0, o, out=o)
     np.divide(o, v, out=o)
-    w, v, o = _workspace()[3][: j - i], x[i:j], out[i:j]  # innermost first
-    np.multiply(v, v, out=w)
-    np.divide(_S4, w, out=o)
-    for s in (_S3, _S2, _S1):
-        np.subtract(s, o, out=o)
-        np.divide(o, w, out=o)
-    np.subtract(_S0, o, out=o)
-    np.divide(o, v, out=o)
-    np.take(_STIRLERR_TABLE, x[j:].astype(np.intp), out=out[j:])
+    np.take(_STIRLERR_TABLE, x[i:].astype(np.intp), out=out[i:])
 
 
 def _log_fail_into(total: int, good: int, m0: int, out: np.ndarray) -> None:
@@ -232,7 +227,7 @@ def _log_fail_into(total: int, good: int, m0: int, out: np.ndarray) -> None:
     if not count:
         return
     st_const, log_p_bad = _fail_constants(total, good)
-    k, x, y = (w[:count] for w in _workspace()[:3])
+    k, x, y = (w[:count] for w in _workspace())
     acc, t, g = out[:count], float(total), float(good)
     # m = m0 + k, a = bad - m and b = total - m are rebuilt from k where they
     # are needed, so that the block needs two scratch arrays

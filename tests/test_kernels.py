@@ -1,15 +1,17 @@
 """The numpy log-fail block kernel against the scalar float layer."""
 
+import hashlib
 import itertools
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from urndist import UrnParams, cdf_float, log_fail, pmf_float
+from urndist import UrnParams, cdf_float, convergence_table, log_fail, pmf_float
 from urndist._kernels import pmf_float_range
-from urndist.floats import LOG_FAIL_BLOCK, cdf_blocks, log_fail_block
+from urndist.floats import LOG_FAIL_BLOCK, _log_fail, _stirlerr, cdf_blocks, log_fail_block
 
 TOTALS = (2000, 10**9, 10**12, 2**53 + 12345)
 GOODS = (1, 5, 7, 32, 33, 10**6)
@@ -187,3 +189,65 @@ def test_threads_get_their_own_workspace():
     assert not any(thread.is_alive() for thread in threads)
     assert len(finished) == len(urns)
     assert not mismatches
+
+
+# urns for the bit pin: a = bad - m or b = total - m runs across the ends of
+# the Stirling table's regimes (15/16 and 500/501) inside one block, totals at
+# and past 2^53, and the top of the domain
+BITS_URNS = (
+    (600, 3),
+    (2000, 33),
+    (70000, 3),
+    (70000, 69000),
+    (10**9, 10**6),
+    (2**53, 3),
+    (2**53 + 12345, 3),
+    (2**53 + 12345, 2**52),
+    (2**511 - 1, 2**510),
+)
+BITS_REPORTS = (
+    (Fraction(1, 10), (10, 100, 1000, 10**4, 10**5)),
+    (Fraction(1, 2), (2, 1000, 2**20)),
+    (Fraction(1, 1000), (1000, 10**6)),
+    (Fraction(7, 9), (9, 900, 9 * 10**5)),
+)
+# sha256 of the float layer's bits over these urns and reports
+FLOAT_BITS_SHA256 = "8e69f11943c5ad79da68b17adf474ad54457c7878aa50db19bbccc1fa8bd1d03"
+
+
+def _float_bits_digest() -> str:
+    digest = hashlib.sha256()
+
+    def put(values):
+        digest.update(np.asarray(values, dtype=np.float64).view(np.int64).tobytes())
+
+    put([_stirlerr(n) for n in (*range(3000), 10**4, 10**6, 10**9, 2**53, 2**200, 2**510)])
+    for total, good in BITS_URNS:
+        bad = total - good
+        count = min(LOG_FAIL_BLOCK, bad)
+        for m0 in (1, bad - count + 1):
+            put(log_fail_block(total, good, m0, count))
+            put(pmf_float_range(total, good, m0 + 1, count))
+        put(pmf_float_range(total, good, 1, min(LOG_FAIL_BLOCK, bad + 1)))
+        # blocks that start on either side of a regime end, in a and in b
+        for cut in (14, 15, 16, 17, 499, 500, 501, 502):
+            for m0 in (bad - cut, total - cut):
+                if 1 <= m0 <= bad:
+                    put(log_fail_block(total, good, m0, min(600, bad - m0 + 1)))
+        ms = sorted({*range(1, min(bad, 700) + 1), *range(max(1, bad - 700), bad + 1)})
+        put([_log_fail(total, good, m) for m in ms])
+        blocks = cdf_blocks(UrnParams(total, good))
+        for n0, cdf in blocks if bad < 4 * LOG_FAIL_BLOCK else itertools.islice(blocks, 2):
+            digest.update(n0.to_bytes(64, "little"))
+            put(cdf)
+    for p, totals in BITS_REPORTS:
+        for r in convergence_table(p, totals):
+            put([r.tv_distance, r.max_pointwise_error])
+            digest.update(r.at_n.to_bytes(8, "little"))
+    return digest.hexdigest()
+
+
+def test_float_layer_bits_are_pinned():
+    # every value of the float layer, bit for bit: a change of the kernels'
+    # order of operations or of a series shows here
+    assert _float_bits_digest() == FLOAT_BITS_SHA256
