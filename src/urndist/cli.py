@@ -47,8 +47,6 @@ from .convergence import convergence_table
 from .errors import ParameterError, ResourceGuardError, UrnError, require_int
 from .exact import (
     UrnParams,
-    binomial,
-    binomial_numerators,
     mean,
     median,
     mode,
@@ -240,20 +238,26 @@ def _draw_slices(draw, params: UrnParams, state: SamplerState, count: int):
 
 
 def _table_rows(params: UrnParams):
-    # the rows of `urn table`, for n = 1..support:
-    # P(n) = A/D and cdf(n) = (D - B)/D with (A, B) from binomial_numerators
+    # the rows of `urn table`, for n = 1..support, stepped by the product of
+    # conditional misses: with s = total - n + 1, P(n) = Fail(n-1) good / s
+    # and Fail(n) = Fail(n-1) (s - good) / s.  Fail(n-1) = u/v is carried in
+    # lowest terms and each factor is cancelled against it first, so every
+    # gcd has one machine-size operand and every cell is in lowest terms;
+    # cdf(n) = (v - u)/v with u/v = Fail(n)
     total, good = params.total, params.good
-    full = binomial(total, good)
-    numerators = binomial_numerators(params)
+    u = v = 1
     for n0, cdf in cdf_blocks(params):
         pmf = _kernels.pmf_float_range(total, good, n0, cdf.size)
-        # the block's lists come first in zip, so that the end of a block
-        # takes no numerator pair from the next one
-        for pf, cf, (a, b), n in zip(
-            pmf.tolist(), cdf.tolist(), numerators, itertools.count(n0)
-        ):
-            ga, gb = math.gcd(a, full), math.gcd(b, full)
-            yield n, f"{a // ga}/{full // ga}", pf, f"{(full - b) // gb}/{full // gb}", cf
+        for pf, cf, n in zip(pmf.tolist(), cdf.tolist(), itertools.count(n0)):
+            s = total - n + 1
+            g = math.gcd(u, s)
+            u, v = u // g, v * (s // g)
+            g = math.gcd(good, v)
+            pmf_cell = f"{u * (good // g)}/{v // g}"
+            miss = s - good
+            g = math.gcd(miss, v)
+            u, v = u * (miss // g), v // g
+            yield n, pmf_cell, pf, f"{v - u}/{v}", cf
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -293,10 +297,12 @@ def _command(name: str, *options: tuple[str, dict]):
 def cmd_table(total: int, good: int, fmt: str) -> None:
     """Full distribution table: one row per support point.
 
-    Rows are written as they are made.  The exact columns are integer
-    numerators over C(total, good), stepped row by row and reduced by one
-    gcd each; the float columns come a block of support points at a time
-    from the vector pmf kernel and the cdf blocks of the float layer.
+    Rows are written as they are made.  The exact columns are fractions in
+    lowest terms, stepped row by row from the one before by the ratio
+    (total-n+1-good)/(total-n+1) of the next miss, with small-factor gcds
+    cancelling as they go; the float columns come a block of support points
+    at a time from the vector pmf kernel and the cdf blocks of the float
+    layer.
     """
     params = UrnParams(total=total, good=good)
     if params.support_size > _TABLE_ROWS_LIMIT:

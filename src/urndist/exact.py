@@ -15,7 +15,10 @@ layer.  A single value is a ``fractions.Fraction``; a whole table is
 integers over the one denominator D = C(total, good).  Its numerators
 C(total-n, good-1) and C(total-n, good) of P(n) and Fail(n) come from
 ``binomial_numerators``, stepped along the support by the exact integer
-recurrence C(a-1, k) = C(a, k) (a-k) / a.
+recurrence C(a-1, k) = C(a, k) (a-k) / a; they serve ``pmf_table``, whose
+checks need the common denominator.  ``urn table`` steps Fail by the same
+ratio but prints each cell in lowest terms, cancelling small factors as it
+goes, and never forms D.
 """
 
 from __future__ import annotations

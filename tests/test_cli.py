@@ -6,17 +6,22 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import urndist
 from urndist import checks
@@ -162,6 +167,54 @@ def _sample_case(method, case_id):
             "--method", method, "--seed", "7")
     params = {"n": 10000, "k": 40, "count": 20000, "seed": 7, "method": method}
     return pytest.param(args, params, id=case_id)
+
+
+# urns for the exact cells of `urn table`: any urn up to 300 objects, the
+# edges good = 1 and good = total, and totals up to 2^70 with at most 64 rows
+_SMALL_TOTALS = st.integers(1, 300)
+_TABLE_URNS = st.one_of(
+    _SMALL_TOTALS.flatmap(lambda total: st.tuples(st.just(total), st.integers(1, total))),
+    _SMALL_TOTALS.map(lambda total: (total, 1)),
+    _SMALL_TOTALS.map(lambda total: (total, total)),
+    st.integers(301, 2**70).flatmap(
+        lambda total: st.tuples(st.just(total), st.integers(total - 63, total))),
+)
+
+
+def _table_fuzz_cases(seed, count):
+    """(total, good, format) argument strings for `urn table`: the
+    adversarial ones in both formats, then ``count`` drawn from a seeded
+    generator.  A valid urn among them has at most 3000 rows or more than
+    ``_TABLE_ROWS_LIMIT``, so no case writes 10^5 rows."""
+    limit = cli_mod._TABLE_ROWS_LIMIT
+    wide, huge = 10**4299, 2**600  # 4300 digits: the int-to-str limit
+    fixed = [
+        (wide, 1), (wide, wide), (wide, wide - 5), (wide, wide + 1), ("1" + "0" * 4300, 1),
+        (huge, 1), (huge, huge // 2), (huge, huge - 1000), (huge, huge),
+        (-5, 1), (5, -1), (-5, -5), (5, 0), (0, 0), (5, 6), (7, 7), (1, 1),
+        # a support one past the row limit
+        (limit + 1, 1), (limit + 7, 7),
+        # C(7372827, 1000) has 4300 digits and C(7372828, 1000) 4301: the
+        # two sides of the digit guard, at 1001 rows
+        (7372827, 7372827 - 1000), (7372828, 7372828 - 1000),
+    ]
+    cases = [(total, good, fmt) for total, good in fixed for fmt in ("csv", "json")]
+    rng = random.Random(seed)
+    for _ in range(count):
+        total = rng.choice([
+            rng.randint(-3, 3000),
+            10 ** rng.randint(4, 4299) + rng.randint(-9, 9),
+            huge + rng.randint(-9, 9),
+            -rng.randint(1, 10**20),
+        ])
+        good = rng.choice([
+            0, -1, 1, total, total + 1, total - rng.randint(0, 1000), rng.randint(1, 3000),
+        ])
+        cases.append((total, good, rng.choice(["csv", "json"])))
+    for total, good, _ in cases:
+        if isinstance(total, int):  # the 4301-digit string is no int here
+            assert not (1 <= good <= total and 10**5 <= total - good + 1 <= limit)
+    return [(str(total), str(good), fmt) for total, good, fmt in cases]
 
 
 class TestTable:
@@ -317,6 +370,46 @@ class TestTable:
             for line in result.output.splitlines()
         )
         assert hashlib.sha256(exact.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("csv", "d0516d7926027a5757050dab407fad1f44f80564ef6ad91484fc59af659100d8"),
+            ("json", "0205e9cb9a402957746a580308abc633a4710aaf6da2a3d5ba29e9d65e0375ec"),
+        ],
+    )
+    def test_large_coefficients_pinned(self, runner, fmt, digest):
+        # C(2000, 1000) has 600 digits: the whole output, all 1001 rows
+        result = run(runner, "table", "--n", "2000", "--k", "1000", "--format", fmt)
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(_TABLE_URNS)
+    def test_exact_cells_are_the_law_in_lowest_terms(self, urn):
+        total, good = urn
+        full = math.comb(total, good)
+        rows = list(cli_mod._table_rows(UrnParams(total, good)))
+        assert [row[0] for row in rows] == list(range(1, total - good + 2))
+        for n, pmf_cell, _, cdf_cell, _ in rows:
+            pmf = Fraction(math.comb(total - n, good - 1), full)
+            cdf = 1 - Fraction(math.comb(total - n, good), full)
+            assert pmf_cell == f"{pmf.numerator}/{pmf.denominator}", (n, pmf_cell)
+            assert cdf_cell == f"{cdf.numerator}/{cdf.denominator}", (n, cdf_cell)
+
+    def test_fuzzed_arguments_end_in_one_line_or_a_table(self, runner):
+        for total, good, fmt in _table_fuzz_cases(seed=2020, count=40):
+            case = (f"{total[:8]}..({len(total)} chars)", f"{good[:8]}..({len(good)} chars)", fmt)
+            start = time.perf_counter()
+            result = run(runner, "table", "--n", total, "--k", good, "--format", fmt)
+            assert time.perf_counter() - start < 2.0, case
+            assert result.exit_code in (0, 2, 3), case
+            lines = result.stderr.splitlines()
+            if result.exit_code == 0:
+                assert lines == [], case
+            else:
+                assert result.stdout == "", case
+                assert len(lines) == 1 and lines[0].startswith("error: "), case
 
     @pytest.mark.parametrize("total, good", [(70000, 3), (2000, 37)])
     def test_float_columns_match_scalar_floats(self, runner, total, good):
