@@ -5,8 +5,12 @@ Parsing: argparse, with abbreviations off, so an option is accepted only
 under its full name, and with ``--help`` (no ``-h``) on ``urn`` and on
 every subcommand, printed to stdout with exit 0.  The runtime needs numpy
 and the standard library only, and loads what a command does not use only
-when it runs: ``urn check`` imports the self-check modules and JSON output
-imports ``json``.
+when it runs: numpy and the float layer come in with ``sample`` and
+``converge`` alone (their entry points, ``sample_urn_walk_batch``,
+``sample_inverse_cdf_batch`` and ``convergence_table``, are module
+attributes imported on first read), ``urn check`` imports the self-check
+modules and JSON output imports ``json``.  So ``table``, ``stats``,
+``--help`` and a usage error run without numpy.
 
 Output: each subcommand names its columns once and hands its rows to one
 writer, ``_emit``.  CSV is a header and one line per row, floats at 17
@@ -33,6 +37,7 @@ URN_SEED supplies a default sampling seed (an explicit --seed always wins).
 from __future__ import annotations
 
 import argparse
+import importlib
 import itertools
 import math
 import os
@@ -40,10 +45,6 @@ import sys
 import types
 from fractions import Fraction
 
-import numpy as np
-
-from . import _kernels
-from .convergence import convergence_table
 from .errors import ParameterError, ResourceGuardError, UrnError, require_int
 from .exact import (
     UrnParams,
@@ -54,9 +55,7 @@ from .exact import (
     support,
     variance,
 )
-from .floats import cdf_blocks
 from .rng import SamplerState
-from .sampler import sample_inverse_cdf_batch, sample_urn_walk_batch
 
 __all__ = ["cli", "main"]
 
@@ -86,6 +85,28 @@ _WALK_STEP_LANES = 100
 _SAMPLE_BYTES_LIMIT = 1 << 40
 
 
+# the entry points that need numpy -> their module, imported on first read
+_LAZY = {
+    "sample_urn_walk_batch": "sampler",
+    "sample_inverse_cdf_batch": "sampler",
+    "convergence_table": "convergence",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __package__)
+    globals()[name] = value = getattr(module, name)
+    return value
+
+
+def _entry(name: str):
+    # the module global once set, read at call time (perfbench/layers.py
+    # swaps it for a probe); the first read imports it through __getattr__
+    return getattr(sys.modules[__name__], name)
+
+
 def _frac(value: Fraction) -> str:
     limit = sys.get_int_max_str_digits()  # 0 means unlimited
     if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
@@ -109,6 +130,8 @@ def _decimal_text(values, sep: str) -> str:
     nonzero quotient to its right, or the last column), and ``grid[keep]``
     drops the leading pad.
     """
+    import numpy as np  # only `sample` writes arrays
+
     width = len(str(int(values.max())))
     grid = np.empty((values.size, width + len(sep)), np.uint8)
     keep = np.empty(grid.shape, bool)
@@ -243,21 +266,21 @@ def _table_rows(params: UrnParams):
     # and Fail(n) = Fail(n-1) (s - good) / s.  Fail(n-1) = u/v is carried in
     # lowest terms and each factor is cancelled against it first, so every
     # gcd has one machine-size operand and every cell is in lowest terms;
-    # cdf(n) = (v - u)/v with u/v = Fail(n)
+    # cdf(n) = (v - u)/v with u/v = Fail(n).  The float cells are those
+    # fractions divided out: int / int is correctly rounded, subnormals
+    # included
     total, good = params.total, params.good
     u = v = 1
-    for n0, cdf in cdf_blocks(params):
-        pmf = _kernels.pmf_float_range(total, good, n0, cdf.size)
-        for pf, cf, n in zip(pmf.tolist(), cdf.tolist(), itertools.count(n0)):
-            s = total - n + 1
-            g = math.gcd(u, s)
-            u, v = u // g, v * (s // g)
-            g = math.gcd(good, v)
-            pmf_cell = f"{u * (good // g)}/{v // g}"
-            miss = s - good
-            g = math.gcd(miss, v)
-            u, v = u * (miss // g), v // g
-            yield n, pmf_cell, pf, f"{v - u}/{v}", cf
+    for n in range(1, params.support_size + 1):
+        s = total - n + 1
+        g = math.gcd(u, s)
+        u, v = u // g, v * (s // g)
+        g = math.gcd(good, v)
+        pn, pd = u * (good // g), v // g
+        miss = s - good
+        g = math.gcd(miss, v)
+        u, v = u * (miss // g), v // g
+        yield n, f"{pn}/{pd}", pn / pd, f"{v - u}/{v}", (v - u) / v
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -300,9 +323,9 @@ def cmd_table(total: int, good: int, fmt: str) -> None:
     Rows are written as they are made.  The exact columns are fractions in
     lowest terms, stepped row by row from the one before by the ratio
     (total-n+1-good)/(total-n+1) of the next miss, with small-factor gcds
-    cancelling as they go; the float columns come a block of support points
-    at a time from the vector pmf kernel and the cdf blocks of the float
-    layer.
+    cancelling as they go; each float column is its exact cell divided out,
+    the double nearest the exact value, so the table needs no float layer
+    and no numpy, at any total.
     """
     params = UrnParams(total=total, good=good)
     if params.support_size > _TABLE_ROWS_LIMIT:
@@ -353,9 +376,9 @@ def cmd_sample(
     seed = _resolve_seed(seed)
     if method == "urn":
         _require_walk_budget(total, good, count)
-        draw = sample_urn_walk_batch
+        draw = _entry("sample_urn_walk_batch")
     else:
-        draw = sample_inverse_cdf_batch
+        draw = _entry("sample_inverse_cdf_batch")
     params_obj = {"n": total, "k": good, "count": count, "seed": seed, "method": method}
     slices = _draw_slices(draw, params, SamplerState(seed=seed), count)
     _emit(fmt, params_obj, ("value",), slices, render=_decimal_text)
@@ -379,7 +402,7 @@ def cmd_converge(p_num: int, p_den: int, totals_csv: str, fmt: str) -> None:
         totals = [int(part) for part in totals_csv.split(",") if part.strip()]
     except ValueError:
         raise ParameterError(f"--ns must be comma-separated integers, got {totals_csv!r}")
-    records = convergence_table(p, totals)
+    records = _entry("convergence_table")(p, totals)
     _emit(
         fmt, {"p": _frac(p), "ns": totals},
         ("N", "K", "p", "tv_distance", "max_pointwise_error", "at_n"),

@@ -1,13 +1,14 @@
 """Floating-point evaluation layer for parameters beyond exact-arithmetic comfort.
 
 Mirrors the closed forms of :mod:`urndist.exact` in IEEE doubles so that
-tables, tail probabilities and convergence studies stay cheap however large
-the urn.  The domain is total < 2^511 (``TOTAL_LIMIT``); other totals
-raise ``ParameterError``.  The bounds below are verified for totals up to
-2^510 + 12345 (past 2^53 against loggamma references at 2*bits + 200
-bits).  Log-probabilities are represented as plain floats (<= 0, with -inf
-standing for probability zero); exp(-inf) == 0.0 makes the out-of-support
-cases fall out naturally.
+the inverse sampler's cdf blocks, tail probabilities and convergence
+studies stay cheap however large the urn.  (``urn table`` does not use this
+layer: its float columns are its exact cells divided out.)  The domain is
+total < 2^511 (``TOTAL_LIMIT``); other totals raise ``ParameterError``.
+The bounds below are verified for totals up to 2^510 + 12345 (past 2^53
+against loggamma references at 2*bits + 200 bits).  Log-probabilities are
+represented as plain floats (<= 0, with -inf standing for probability
+zero); exp(-inf) == 0.0 makes the out-of-support cases fall out naturally.
 
 Accuracy notes
 --------------

@@ -217,6 +217,45 @@ def _table_fuzz_cases(seed, count):
     return [(str(total), str(good), fmt) for total, good, fmt in cases]
 
 
+def _stats_fuzz_cases(seed, count):
+    """(total, good, format) argument strings for `urn stats`, as
+    ``_table_fuzz_cases`` makes them.  Urns whose exact median is slow are
+    left out: the median's probes multiply up to ``good`` factors of the
+    size of ``total``, so `stats --n 2**600 --k 1000` did not end in 20 s
+    and `--n 10**2000 --k 30` took 122 s.  That cost is the median's, not
+    the CLI's.  A valid urn here has a total of at most 3000, at most 3
+    good objects, at least half of them good (the median is 1), or a total
+    of 2200 digits or more, whose variance passes the int-to-str limit
+    before the median runs."""
+    wide, huge = 10**4299, 2**600  # 4300 digits: the int-to-str limit
+    fixed = [
+        (wide, 1), (wide, 3), (wide, wide), (wide, wide - 5), (wide, wide + 1),
+        ("1" + "0" * 4300, 1),
+        (huge, 1), (huge, 2), (huge, 3), (huge, huge // 2), (huge, huge - 1000),
+        (huge, huge), (huge, huge + 1),
+        (-5, 1), (5, -1), (-5, -5), (5, 0), (0, 0), (5, 6), (7, 7), (1, 1),
+        (10**6, 5 * 10**5), (10**8, 1),
+    ]
+    cases = [(total, good, fmt) for total, good in fixed for fmt in ("csv", "json")]
+    rng = random.Random(seed)
+    for _ in range(count):
+        total = rng.choice([
+            rng.randint(-3, 3000),
+            10 ** rng.randint(2200, 4299) + rng.randint(-9, 9),
+            huge + rng.randint(-9, 9),
+            -rng.randint(1, 10**20),
+        ])
+        goods = [0, -1, 1, 2, 3, total, total + 1, total - rng.randint(0, 1000)]
+        if not 0 < abs(total - huge) < 10:
+            goods.append(rng.randint(1, 3000))
+        cases.append((total, rng.choice(goods), rng.choice(["csv", "json"])))
+    for total, good, _ in cases:
+        if isinstance(total, int) and 1 <= good <= total:
+            assert (total <= 3000 or good <= 3 or 2 * good >= total
+                    or total >= 10**2199), (total, good)
+    return [(str(total), str(good), fmt) for total, good, fmt in cases]
+
+
 class TestTable:
     def test_uniform_three_csv(self, runner):
         result = run(runner, "table", "--n", "3", "--k", "1")
@@ -359,6 +398,8 @@ class TestTable:
         [
             (50000, 10, "c95dd720a49b60468f03aa5f80c93dce140879b42b9f00b20d2fe75e6af184a7"),
             (70000, 3, "3e9a04df1926ed8046aafe942a8430d4904677dc121eff0717ce8a645ce9b095"),
+            # C(2000, 1000) has 600 digits
+            (2000, 1000, "80bc751d1596179a3bbc9d8b131efe43f87288755b44e2af0441909f5fcf0322"),
         ],
     )
     def test_exact_columns_pinned(self, runner, total, good, digest):
@@ -374,12 +415,13 @@ class TestTable:
     @pytest.mark.parametrize(
         "fmt, digest",
         [
-            ("csv", "d0516d7926027a5757050dab407fad1f44f80564ef6ad91484fc59af659100d8"),
-            ("json", "0205e9cb9a402957746a580308abc633a4710aaf6da2a3d5ba29e9d65e0375ec"),
+            ("csv", "e06e6dd31b7406aa647ee5da489612b52e217c27818978f0816e0b0e86221764"),
+            ("json", "7058826229a6debf702bdcaeef2eabffbe1dedb11687b408d88689f962675987"),
         ],
     )
     def test_large_coefficients_pinned(self, runner, fmt, digest):
-        # C(2000, 1000) has 600 digits: the whole output, all 1001 rows
+        # C(2000, 1000) has 600 digits: the whole output, all 1001 rows, its
+        # floats the correctly rounded quotients of the exact cells
         result = run(runner, "table", "--n", "2000", "--k", "1000", "--format", fmt)
         assert result.exit_code == 0
         assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
@@ -391,11 +433,17 @@ class TestTable:
         full = math.comb(total, good)
         rows = list(cli_mod._table_rows(UrnParams(total, good)))
         assert [row[0] for row in rows] == list(range(1, total - good + 2))
-        for n, pmf_cell, _, cdf_cell, _ in rows:
+        for n, pmf_cell, pmf_float, cdf_cell, cdf_float in rows:
             pmf = Fraction(math.comb(total - n, good - 1), full)
             cdf = 1 - Fraction(math.comb(total - n, good), full)
             assert pmf_cell == f"{pmf.numerator}/{pmf.denominator}", (n, pmf_cell)
             assert cdf_cell == f"{cdf.numerator}/{cdf.denominator}", (n, cdf_cell)
+            # the float cells are the doubles nearest the exact ones
+            assert pmf_float == float(Fraction(pmf_cell)), (n, pmf_float)
+            assert cdf_float == float(Fraction(cdf_cell)), (n, cdf_float)
+        cdf_column = [row[4] for row in rows]
+        assert cdf_column[-1] == 1.0
+        assert all(a <= b for a, b in zip(cdf_column, cdf_column[1:]))
 
     def test_fuzzed_arguments_end_in_one_line_or_a_table(self, runner):
         for total, good, fmt in _table_fuzz_cases(seed=2020, count=40):
@@ -479,6 +527,21 @@ class TestStats:
         # support (listed one by one, 10**6 draws took 6.9 MB)
         row = _stats_row_within_2s(100000000, 1)
         assert row.endswith(",1..100000000,1..100000000")
+
+    def test_fuzzed_arguments_end_in_one_line_or_a_row(self, runner):
+        for total, good, fmt in _stats_fuzz_cases(seed=2022, count=40):
+            case = (f"{total[:8]}..({len(total)} chars)", f"{good[:8]}..({len(good)} chars)", fmt)
+            start = time.perf_counter()
+            result = run(runner, "stats", "--n", total, "--k", good, "--format", fmt)
+            assert time.perf_counter() - start < 2.0, case
+            assert result.exit_code in (0, 2, 3), case
+            assert "Traceback" not in result.stderr, case
+            lines = result.stderr.splitlines()
+            if result.exit_code == 0:
+                assert lines == [], case
+            else:
+                assert result.stdout == "", case
+                assert len(lines) == 1 and lines[0].startswith("error: "), case
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_unprintable_variance_exit_3(self, runner, fmt):
@@ -921,6 +984,67 @@ class TestImport:
         )
         assert out.stdout.splitlines() == ["False", "[]", "[]"]
 
+    @pytest.mark.parametrize(
+        "args, loads_numpy",
+        [
+            (("stats", "--n", "1000", "--k", "7"), False),
+            (("table", "--n", "1000", "--k", "7"), False),
+            (("--help",), False),
+            (("tabel", "--n", "10", "--k", "3"), False),
+            (("sample", "--n", "10", "--k", "3", "--count", "3"), True),
+            (("converge", "--p-num", "1", "--p-den", "10", "--ns", "100"), True),
+        ],
+        ids=["stats", "table", "help", "usage-error", "sample", "converge"],
+    )
+    def test_only_sample_and_converge_load_numpy(self, args, loads_numpy):
+        # numpy is loaded neither by `import urndist.cli` nor by a command
+        # that needs no float array
+        code = (
+            "import contextlib, io, sys\n"
+            "import urndist.cli\n"
+            "loaded = ['numpy' in sys.modules]\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            "        urndist.cli.main(sys.argv[1:])\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "print(loaded + ['numpy' in sys.modules])\n"
+        )
+        root = os.path.dirname(os.path.dirname(urndist.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code, *args],
+            env=dict(os.environ, PYTHONPATH=root),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == str([False, loads_numpy])
+
+    @pytest.mark.parametrize(
+        "args, entry",
+        [
+            (("sample", "--n", "10", "--k", "3", "--count", "3"), "sample_urn_walk_batch"),
+            (("sample", "--n", "10", "--k", "3", "--count", "3", "--method", "inverse"),
+             "sample_inverse_cdf_batch"),
+            (("converge", "--p-num", "1", "--p-den", "10", "--ns", "100"),
+             "convergence_table"),
+        ],
+        ids=["sample-urn", "sample-inverse", "converge"],
+    )
+    def test_commands_call_the_module_attribute(self, runner, monkeypatch, args, entry):
+        # perfbench/layers.py times these layers by swapping the attribute of
+        # cli for a wrapper, so a command must read it when it runs
+        real, calls = getattr(cli_mod, entry), []
+
+        def wrapper(*a, **kw):
+            calls.append(a)
+            return real(*a, **kw)
+
+        monkeypatch.setattr(cli_mod, entry, wrapper)
+        assert run(runner, *args).exit_code == 0
+        assert calls
+
     def test_public_names_are_public_in_their_submodules(self):
         # urndist.__all__ is the name -> submodule map of the lazy __init__
         assert urndist.__all__ == list(urndist._SUBMODULE)
@@ -1022,12 +1146,11 @@ class TestFloatDomain:
     @pytest.mark.parametrize(
         "args",
         [
-            ("table", "--n", str(10**160), "--k", str(10**160 - 5)),
             ("sample", "--n", str(10**160), "--k", "3", "--count", "3",
              "--method", "inverse"),
             ("converge", "--p-num", "1", "--p-den", "2", "--ns", str(2 * 10**400)),
         ],
-        ids=["table", "sample-inverse", "converge"],
+        ids=["sample-inverse", "converge"],
     )
     def test_totals_past_the_float_domain_exit_2(self, runner, args):
         result = run(runner, *args)
@@ -1036,6 +1159,23 @@ class TestFloatDomain:
         assert "Traceback" not in result.stderr
         assert len(result.stderr.splitlines()) == 1
         assert "2^511" in result.stderr
+
+    @pytest.mark.parametrize("total", [10**160, 2**600], ids=["10^160", "2^600"])
+    def test_table_past_the_float_domain_is_written(self, runner, total):
+        # `table` divides its exact cells out and needs no float layer
+        good = total - 5
+        result = run(runner, "table", "--n", str(total), "--k", str(good))
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        rows = [line.split(",") for line in result.output.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["1", "2", "3", "4", "5", "6"]
+        full = math.comb(total, good)
+        for n, pmf_cell, pmf_float, cdf_cell, cdf_float in rows:
+            n = int(n)
+            assert Fraction(pmf_cell) == Fraction(math.comb(total - n, good - 1), full)
+            assert Fraction(cdf_cell) == 1 - Fraction(math.comb(total - n, good), full)
+            assert float(pmf_float) == float(Fraction(pmf_cell))
+            assert float(cdf_float) == float(Fraction(cdf_cell))
 
 
 class TestOutputHygiene:
