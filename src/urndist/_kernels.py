@@ -6,7 +6,10 @@ are counter-based (see :mod:`urndist.rng`): variate t of a batch depends
 only on the seed and its draw index draw0+t, so the streams do not depend
 on batch sizes.  The mass-function kernel is built on the log-fail block
 kernel of :mod:`urndist.floats` and computes each block in that module's
-per-thread workspace; the array it returns is fresh.
+per-thread workspace; the array it returns is fresh.  It is the vector form
+of ``floats.pmf_float``, kept for its tests and the benchmark's layer probe:
+no module of the package calls it since the convergence scan works from the
+log ratio to the geometric law (see :mod:`urndist.convergence`).
 ``inverse_cdf_table_batch`` is the inverse sampler's placement step: it
 searches one cdf block for a run of sorted uniforms, and
 ``sampler._quantiles`` calls it once per block it scans.

@@ -45,6 +45,11 @@ __all__ = ["FamilyResult", "run_all"]
 # stdout; 3 runs each) took 1.0-1.3 s at 105, 2.3-2.8 s at 150, 5.9-6.8 s
 # at 200, 8.7 s at 210 and 9.6 s at 220.
 _SWEEP_LIMIT = 200
+# Largest max_total that a sweep accepts even with force, so that `--force`
+# means slow, not unbounded.  Cold `urn check --max-n N --force` runs (same
+# settings as above, one run each, a one-core job running beside them) took
+# 19.6 s at 250, 27.0 s at 300 and 216 s at 500.
+_FORCE_LIMIT = 500
 
 
 @dataclass
@@ -195,10 +200,16 @@ def run_all(max_total: int, *, force: bool = False) -> list[FamilyResult]:
     """Run every verification family up to ``max_total``; order is stable.
 
     Refuses a ``max_total`` above ``_SWEEP_LIMIT`` before any family runs,
-    unless ``force`` is set.  The brute-force ``pmf-oracle`` family stops
-    at ``oracle.ENUMERATION_LIMIT`` whatever ``max_total`` and ``force`` are.
+    unless ``force`` is set, and one above ``_FORCE_LIMIT`` in any case.
+    The brute-force ``pmf-oracle`` family stops at
+    ``oracle.ENUMERATION_LIMIT`` whatever ``max_total`` and ``force`` are.
     """
     require_int("max total", max_total, 1)
+    if max_total > _FORCE_LIMIT:
+        raise ResourceGuardError(
+            f"the check sweep up to total={max_total} is refused (max total > "
+            f"{_FORCE_LIMIT}, with or without force): its cost grows faster than max_total^3"
+        )
     if max_total > _SWEEP_LIMIT and not force:
         raise ResourceGuardError(
             f"the check sweep up to total={max_total} is refused (max total > "

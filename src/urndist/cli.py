@@ -417,8 +417,9 @@ def cmd_converge(p_num: int, p_den: int, totals_csv: str, fmt: str) -> None:
     ("--max-n", dict(dest="max_total", type=int, default=12,
                      help="Upper bound of the verification sweep (default: %(default)s).")),
     ("--force", dict(action="store_true",
-                     help="Lift the sweep size guard on --max-n (expensive above the "
-                          "default); the enumeration family keeps its own limit.")),
+                     help="Lift the sweep size guard on --max-n up to a fixed work "
+                          "bound (expensive above the default); the enumeration family "
+                          "keeps its own limit.")),
 )
 def cmd_check(max_total: int, force: bool, fmt: str) -> None:
     """Run the self-verification families and report pass/fail counts."""

@@ -33,8 +33,10 @@ allocated once per thread; m, a and b are rebuilt from the offsets k where
 needed rather than kept).  So a block allocates no array of its size but
 its result, and its values do not depend on the workspace.  The
 workspace is the float layer's only scratch: ``_kernels.pmf_float_range``
-and the convergence scan use its two scratch blocks between block calls.
-It holds values only within one call: every array returned or yielded here
+uses its two scratch blocks between block calls, and the convergence scan,
+which evaluates no log-fail block, holds its log-ratio and pmf-difference
+blocks there (and q^j in one block of its own).  It holds values only
+within one call: every array returned or yielded here
 or by ``_kernels`` is fresh, so ``list(cdf_blocks(...))`` keeps every
 block, and threads never share scratch space.
 

@@ -39,6 +39,22 @@ class TestRunAll:
             checks.run_all(checks._SWEEP_LIMIT + 1)
         assert len(checks.run_all(checks._SWEEP_LIMIT + 1, force=True)) == 6
 
+    def test_force_keeps_a_work_bound(self, monkeypatch):
+        # families and tables stubbed out: a forced sweep at the bound itself
+        # takes minutes, and past it none may run
+        calls = []
+        for name in [n for n in vars(checks) if n.startswith("_check_")]:
+            monkeypatch.setattr(checks, name, lambda *args: calls.append(1) or FamilyResult("stub"))
+        monkeypatch.setattr(checks, "pmf_table", lambda params: None)
+        assert len(checks.run_all(checks._FORCE_LIMIT, force=True)) == 6
+        assert calls
+        calls.clear()
+        for max_total in (checks._FORCE_LIMIT + 1, 2 * 10**12):
+            for force in (False, True):
+                with pytest.raises(ResourceGuardError, match=str(checks._FORCE_LIMIT)):
+                    checks.run_all(max_total, force=force)
+        assert not calls
+
     def test_force_lifts_only_the_sweep_guard(self):
         # the brute-force family stays at the enumeration limit, whose cost
         # doubles per unit of total: 20·21/2 urns, not 22·23/2

@@ -835,6 +835,39 @@ class TestIntWriter:
         assert buffer.getvalue() == b"before\nvalue\n3\n14\n"
 
 
+def _converge_fuzz_cases(seed, count):
+    """(p_num, p_den, ns, format) argument strings for `urn converge`: the
+    adversarial ones in both formats, then ``count`` drawn from a seeded
+    generator.  A valid urn here scans at most about 2 * 10^7 points, or is
+    refused by the scan guard before any."""
+    wide, huge = 10**4299, 2**600  # 4300 digits: the int-to-str limit
+    fixed = [
+        (1, 10, "100,1000"), (7, 9, "9,900"), (1, 2, "2"), (1, 2, str(2**100)),
+        # p > 2/3: tv and max_pointwise_error are both P(2) - G(2)
+        (999999, 10**6, str(10**12)), (1, 3, str(3 * 10**18)),
+        (1, 10**11, str(10**17)), (1, 10**6, str(10**14)),
+        (1, 10, str(wide)), (1, 10, "1" + "0" * 4300), (1, wide, str(wide)),
+        ("1" + "0" * 4300, 10, "100"), (wide, wide + 1, str(wide + 1)),
+        (1, 2, str(huge)), (huge - 5, huge, str(huge)), (1, huge, str(huge)),
+        (0, 10, "100"), (-1, 10, "100"), (1, 0, "100"), (1, -10, "100"), (-1, -10, "100"),
+        (10, 10, "100"), (11, 10, "100"), (1, 10, "-100"), (1, 10, "0"), (1, 10, "-3,100"),
+        (1, 10, ""), (1, 10, ","), (1, 10, "1.5"), (1, 10, "1e3"), (1, 10, "100,x"),
+        (1, 3, "100"),
+    ]
+    cases = [(*case, fmt) for case in fixed for fmt in ("csv", "json")]
+    rng = random.Random(seed)
+    for _ in range(count):
+        den = rng.choice([2, 3, 7, 10, 1000, 10**6, 10**11, huge])
+        num = rng.choice([-1, 0, 1, rng.randint(1, 9), den - 1, den, den + 1])
+        totals = [
+            rng.choice([den * rng.randint(1, 100), rng.randint(-10, 10),
+                        10 ** rng.randint(10, 4299), huge, "1.5", "x", ""])
+            for _ in range(rng.randint(1, 3))
+        ]
+        cases.append((num, den, ",".join(map(str, totals)), rng.choice(["csv", "json"])))
+    return [(str(num), str(den), ns, fmt) for num, den, ns, fmt in cases]
+
+
 class TestConverge:
     def test_decreasing_distances(self, runner):
         result = run(runner, "converge", "--p-num", "1", "--p-den", "10",
@@ -882,13 +915,39 @@ class TestConverge:
                      "--ns", "1000000,10000000")
         assert result.exit_code == 0
         assert result.output.splitlines()[1:] == [
-            "1000000,100,0.0001,0.0027156223730743678,2.3164523453904839e-07,5874",
-            "10000000,1000,0.0001,0.00027074728172497825,2.3068542289746531e-08,5860",
+            "1000000,100,0.0001,0.0027156223730845299,2.3164523454259637e-07,5874",
+            "10000000,1000,0.0001,0.00027074728173534746,2.3068542293376223e-08,5860",
         ]
+
+    def test_fuzzed_arguments_end_in_one_line_or_rows(self, runner):
+        for num, den, ns, fmt in _converge_fuzz_cases(seed=2023, count=40):
+            case = (num[:8], den[:8], f"{ns[:12]}..({len(ns)} chars)", fmt)
+            start = time.perf_counter()
+            result = run(runner, "converge", "--p-num", num, "--p-den", den,
+                         "--ns", ns, "--format", fmt)
+            assert time.perf_counter() - start < 2.0, case
+            assert result.exit_code in (0, 2, 3), case
+            assert "Traceback" not in result.stderr, case
+            lines = result.stderr.splitlines()
+            if result.exit_code:
+                assert result.stdout == "", case
+                assert len(lines) == 1 and lines[0].startswith("error: "), case
+                continue
+            assert lines == [], case
+            if fmt == "json":
+                rows = [(r["tv_distance"], r["max_pointwise_error"])
+                        for r in json.loads(result.stdout)["rows"]]
+            else:
+                rows = [tuple(map(float, line.split(",")[3:5]))
+                        for line in result.stdout.splitlines()[1:]]
+            assert rows, case
+            for tv, max_err in rows:
+                # the positive and the negative parts of P - G each sum to tv
+                assert 0.0 < max_err <= tv <= 1.0, case
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_tiny_p_scan_guard_exit_3_within_1s(self, fmt):
-        # the scan would need about 4.2e12 points before its stop rule can fire
+        # the scan's bound is about 4.0e12 points
         start = time.perf_counter()
         out = _refused_within_2s("converge", "--p-num", "1", "--p-den", "100000000000",
                                  "--ns", "100000000000000000", "--format", fmt)
@@ -913,6 +972,11 @@ class TestCheck:
         out = _refused_within_2s("check", "--max-n", str(checks._SWEEP_LIMIT + 1),
                                  "--format", fmt)
         assert "--force" in out.stderr
+
+    @pytest.mark.parametrize("max_n", [checks._FORCE_LIMIT + 1, 2 * 10**12])
+    def test_force_work_bound_exit_3(self, max_n):
+        out = _refused_within_2s("check", "--max-n", str(max_n), "--force")
+        assert str(checks._FORCE_LIMIT) in out.stderr
 
     def test_json_families(self, runner):
         result = run(runner, "check", "--max-n", "6", "--format", "json")

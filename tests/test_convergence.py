@@ -7,6 +7,7 @@ import sys
 import textwrap
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,10 +23,10 @@ from urndist import (
     pmf_table,
     tv_distance,
 )
-from urndist import _kernels
 from urndist import convergence
 from urndist.convergence import _tv_stats
 from urndist.errors import ResourceGuardError
+from urndist.floats import LOG_FAIL_BLOCK
 
 
 class TestGeometricPmf:
@@ -37,6 +38,13 @@ class TestGeometricPmf:
 
     def test_head_value(self):
         assert geometric_pmf(0.1, 1) == 0.1
+
+    @pytest.mark.parametrize("p, n", [(1e-6, 1001), (1e-6, 20001), (1e-4, 3001)])
+    def test_within_an_ulp_of_the_exact_value(self, p, n):
+        # (1 - p)**(n - 1) * p carries the rounding of 1 - p into the power:
+        # 136, 2662 and 181 ulps off here
+        want = float((1 - Fraction(p)) ** (n - 1) * Fraction(p))
+        assert abs(geometric_pmf(p, n) - want) <= math.ulp(want)
 
     def test_domain_errors(self):
         for bad_p in (0.0, -0.5, 1.5):
@@ -206,17 +214,52 @@ class TestFirstOrderRate:
             assert abs(r.total * r.max_pointwise_error / e - 1.0) <= 1.0 / pn, r
 
 
-def _full_scan(total, good):
-    """Reference: every n of the support, fsum of |urn - geom|, plus q^size."""
-    size = total - good + 1
-    p = good / total
-    q = 1.0 - p
-    urn = _kernels.pmf_float_range(total, good, 1, size)
-    geom = np.power(q, np.arange(size, dtype=np.float64)) * p
-    diff = np.abs(urn - geom)
-    i = int(diff.argmax())
-    tv = 0.5 * (math.fsum(diff.tolist()) + q**size)
-    return min(1.0, tv), float(diff[i]), i + 1
+def _full_scan(total, good, bits=256):
+    """Reference: a scan of the support with both laws in fixed point at
+    2^-bits, stepped by integer products that truncate, so each value is
+    within j * 2^-bits at j = n - 1.
+
+    Returns (tv, (|d|, n) of the largest and the second largest |P - G|).
+    tv is max_m (q^m - Fail(m)), with m = bad + 1 (Fail = 0) when the whole
+    support is scanned; the scan stops once it is past the crossing and
+    q^j K/(N-j), which bounds P and G from n = j + 1 on, is below half the
+    second largest |d|.
+    """
+    one = 1 << bits
+    bad = total - good
+    fail, geo = one, one  # Fail(j) and q^j
+    tv, top, crossed = 0, [(0, 1), (0, 1)], False
+    for j in range(bad + 1):
+        d = fail * good // (total - j) - geo * good // total
+        tv = max(tv, geo - fail)
+        crossed = crossed or d < 0
+        top = sorted([*top, (abs(d), j + 1)], key=lambda e: -e[0])[:2]
+        if crossed and geo * good // (total - j) < top[1][0] // 2:
+            break
+        fail = fail * (bad - j) // (total - j)
+        geo = geo * bad // total
+    else:
+        tv = max(tv, geo)
+    return tv / one, [(value / one, n) for value, n in top]
+
+
+def _scanned_points(monkeypatch):
+    """Record the points of each block of the scan: it takes one cumulative
+    sum of gap terms per block."""
+    points = []
+    real = np.cumsum
+
+    def counting(a, *args, **kwargs):
+        points.append(a.size)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", counting)
+    return points
+
+
+def _scan_bound(total, good):
+    """J + LOG_FAIL_BLOCK of the convergence module's guard."""
+    return 1 + math.log(2 * (total - 1)) / -math.log1p(-good / total) + LOG_FAIL_BLOCK
 
 
 class TestBoundedScan:
@@ -227,8 +270,8 @@ class TestBoundedScan:
             (123457, 1234),
             (200000, 200),
             (1000000, 100),
-            # the scan reaches the end of the support
             (100000, 10),
+            # the scan reaches the end of the support
             (1000000, 1),
             (1000000, 3),
             (2000, 1000),
@@ -237,22 +280,32 @@ class TestBoundedScan:
     )
     def test_matches_full_scan(self, total, good):
         tv, max_err, at_n = _tv_stats(UrnParams(total, good))
-        ref_tv, ref_err, ref_at = _full_scan(total, good)
-        assert (max_err, at_n) == (ref_err, ref_at)
-        assert abs(tv - ref_tv) <= 2 * math.ulp(ref_tv)
+        ref_tv, ((ref_err, ref_at), (second, _)) = _full_scan(total, good)
+        assert tv == pytest.approx(ref_tv, rel=1e-12, abs=0)
+        assert max_err == pytest.approx(ref_err, rel=1e-12, abs=0)
+        if ref_err - second > 1e-9 * ref_err:
+            assert at_n == ref_at
 
     def test_stop_bounds_the_work(self, monkeypatch):
-        points = []
-        real = _kernels.pmf_float_range
+        points = _scanned_points(monkeypatch)
+        for total, good in ((10**6, 100), (10**7, 1000), (10**8, 10**4), (10**12, 10**6)):
+            points.clear()
+            _tv_stats(UrnParams(total, good))
+            assert 0 < sum(points) < _scan_bound(total, good), (total, good)
+        # the stop fires at the third and the fourth block start; the
+        # mass-based stop that came before needed at least 415,889 points at
+        # (10^6, 100), and a scan to the geometric underflow point at
+        # (10^7, 1000) would take 7,999,602
+        for (total, good), blocks in (((10**6, 100), 2), ((10**7, 1000), 3)):
+            points.clear()
+            _tv_stats(UrnParams(total, good))
+            assert points == [LOG_FAIL_BLOCK] * blocks
 
-        def counting(total, good, n_start, count):
-            points.append(count)
-            return real(total, good, n_start, count)
-
-        monkeypatch.setattr(_kernels, "pmf_float_range", counting)
-        _tv_stats(UrnParams(10**7, 1000))
-        # a scan to the geometric underflow point would take 7,999,602
-        assert sum(points) <= 1 << 20
+    def test_short_support_is_scanned_to_its_end(self, monkeypatch):
+        points = _scanned_points(monkeypatch)
+        # P - G > 0 on the whole support when good = 1: no crossing to stop at
+        _tv_stats(UrnParams(1000000, 1))
+        assert sum(points) == 1000000 - 1
 
 
 class TestScanGuard:
@@ -270,12 +323,10 @@ class TestScanGuard:
 
     def test_guard_follows_the_stop_rule_bound(self):
         limit = convergence._SCAN_POINTS_LIMIT
-        # the lower bound is ceil(60 ln 2 / -log q) points, or the support
         good = 10**6
-        # neighbouring totals whose bounds lie 41 points either side of it
-        for total, refused in ((good * 4808984, True), (good * 4808983, False)):
-            need = math.ceil(60 * math.log(2) / -math.log1p(-good / total))
-            assert (need > limit) == refused
+        # neighbouring totals whose bounds lie 12 and 19 points either side of it
+        for total, refused in ((good * 6618361, True), (good * 6618360, False)):
+            assert (_scan_bound(total, good) > limit) == refused
             params = UrnParams(total, good)
             if refused:
                 with pytest.raises(ResourceGuardError):
@@ -286,6 +337,65 @@ class TestScanGuard:
         convergence._require_scan_budget(UrnParams(limit, 1))
         with pytest.raises(ResourceGuardError):
             convergence._require_scan_budget(UrnParams(limit + 1, 1))
+        # the bound holds only up to N/2: past it the support counts
+        assert _scan_bound(3 * 10**8, 35) < limit < 2 * _scan_bound(3 * 10**8, 35)
+        with pytest.raises(ResourceGuardError):
+            convergence._require_scan_budget(UrnParams(3 * 10**8, 35))
+        convergence._require_scan_budget(UrnParams(3 * 10**8, 50))
+
+    def test_large_p_scans_one_block_at_any_total(self, monkeypatch):
+        points = _scanned_points(monkeypatch)
+        records = convergence_table(Fraction(1, 2), [10**18])
+        assert points == [LOG_FAIL_BLOCK]
+        assert records[0].at_n == 2
+
+
+# urn: (m*, at_n, the n of the second largest |P - G|), from full mpmath scans
+# at 60-100 digits that stepped Fail(j) and q^j over the support until the
+# stop bound fell below half the second largest |P - G|
+_MPMATH_URNS = {
+    (10**6, 100): (19933, 5874, 5875),
+    (10**7, 1000): (19993, 5860, 5861),
+    (10**8, 10**4): (19999, 5859, 5858),
+    (10**12, 10**6): (1999999, 585787, 585788),
+    (10**7, 10**6): (19, 7, 6),
+    (10**5, 5 * 10**4): (3, 2, 3),
+    (2**100, 2**99): (3, 2, 3),
+    (10**12, 999999 * 10**6): (2, 2, 3),
+    (3 * 10**18, 10**18): (5, 3, 2),
+}
+
+
+def _mpmath_values(total, good, m_star, ns):
+    """tv = q^m* - Fail(m*) and |P(n) - G(n)| at each n, at 100 digits."""
+    with mpmath.workdps(100):
+        bad = mpmath.mpf(total - good)
+
+        def log_fail(m):  # log C(total - m, good) / C(total, good)
+            return (mpmath.loggamma(total - m + 1) + mpmath.loggamma(bad + 1)
+                    - mpmath.loggamma(bad - m + 1) - mpmath.loggamma(total + 1))
+
+        q = bad / total
+        tv = q**m_star - mpmath.exp(log_fail(m_star))
+        errs = [abs(mpmath.exp(log_fail(n - 1)) * good / (total - n + 1)
+                    - q ** (n - 1) * good / total) for n in ns]
+        return float(tv), [float(e) for e in errs]
+
+
+class TestMpmathReferences:
+    @pytest.mark.parametrize("total, good", list(_MPMATH_URNS))
+    def test_distances_within_1e12(self, total, good):
+        m_star, ref_at, second_at = _MPMATH_URNS[(total, good)]
+        ref_tv, (ref_err, second) = _mpmath_values(total, good, m_star, [ref_at, second_at])
+        tv, max_err, at_n = _tv_stats(UrnParams(total, good))
+        assert tv == pytest.approx(ref_tv, rel=1e-12, abs=0)
+        assert max_err == pytest.approx(ref_err, rel=1e-12, abs=0)
+        if ref_err - second > 1e-9 * ref_err:
+            assert at_n == ref_at
+        else:
+            # (10^6, 100), (10^12, 10^6), and (3e18, 1e18), where n = 2 and
+            # 3 tie to first order
+            assert at_n in (ref_at, second_at)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt is Linux's")

@@ -212,7 +212,7 @@ BITS_REPORTS = (
     (Fraction(7, 9), (9, 900, 9 * 10**5)),
 )
 # sha256 of the float layer's bits over these urns and reports
-FLOAT_BITS_SHA256 = "8e69f11943c5ad79da68b17adf474ad54457c7878aa50db19bbccc1fa8bd1d03"
+FLOAT_BITS_SHA256 = "bd164802436da54370d8939e4891ba02615c01090bcabb85f0b9a1c1e310e5d6"
 
 
 def _float_bits_digest() -> str:
