@@ -14,11 +14,11 @@ their own (k, n, x) sweep.  The CLI turns any failure into a nonzero exit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction  # for failure messages only
 from itertools import zip_longest
 from math import comb
 
+from ._record import Record
 from .errors import ResourceGuardError, require_int
 from .exact import (
     PmfTable,
@@ -52,11 +52,14 @@ _SWEEP_LIMIT = 200
 _FORCE_LIMIT = 500
 
 
-@dataclass
-class FamilyResult:
-    name: str
-    cases: int = 0
-    failures: list[str] = field(default_factory=list)
+class FamilyResult(Record):
+    """One family's report: its name, the cases it ran and its failure
+    messages (it stops at the first)."""
+
+    __slots__ = ("name", "cases", "failures")
+
+    def __init__(self, name: str, cases: int = 0, failures: list[str] | None = None) -> None:
+        super().__init__(name, cases, [] if failures is None else failures)
 
     @property
     def ok(self) -> bool:

@@ -9,12 +9,16 @@ when it runs: numpy and the float layer come in with ``sample`` and
 ``converge`` alone (their entry points, ``sample_urn_walk_batch``,
 ``sample_inverse_cdf_batch`` and ``convergence_table``, are module
 attributes imported on first read), ``urn check`` imports the self-check
-modules and JSON output imports ``json``.  So ``table``, ``stats``,
-``--help`` and a usage error run without numpy.
+modules, JSON output imports ``json``, ``sample`` alone imports the
+generator state of ``rng``, and ``fractions`` comes in with the code that
+makes a Fraction (``stats``, ``converge`` and ``check``).  So ``table``,
+``stats``, ``--help`` and a usage error run without numpy, and ``table``,
+``sample``, ``--help`` and a usage error without ``fractions``.
 
 Output: each subcommand names its columns once and hands its rows to one
 writer, ``_emit``.  CSV is a header and one line per row, floats at 17
-significant digits.  JSON is {"schema_version": 2, "params": ..., "rows":
+significant digits; ``table`` and ``converge`` format a chunk of rows in
+one %-format call.  JSON is {"schema_version": 2, "params": ..., "rows":
 [...]} as json.dumps(indent=2) prints it, a row being an object keyed by
 the columns (a bare value for one column).  An interval of draws (the
 ``stats`` mode and support) is a..b in CSV and [a, b] in JSON.  ``_emit``
@@ -43,7 +47,6 @@ import math
 import os
 import sys
 import types
-from fractions import Fraction
 
 from .errors import ParameterError, ResourceGuardError, UrnError, require_int
 from .exact import (
@@ -55,7 +58,9 @@ from .exact import (
     support,
     variance,
 )
-from .rng import SamplerState
+
+# Fraction and SamplerState are imported by the commands that use them; the
+# annotations name them as text (PEP 563)
 
 __all__ = ["cli", "main"]
 
@@ -150,11 +155,23 @@ def _decimal_text(values, sep: str) -> str:
     return grid[keep][: -len(sep)].tobytes().decode()
 
 
+def _csv_format(template: str):
+    """The CSV ``line`` of rows whose cells fill the %-format ``template``:
+    a chunk's rows in one format call, the same text as one
+    ``template % row`` per row."""
+
+    def line(chunk: list) -> str:
+        return "\n".join([template] * len(chunk)) % tuple(itertools.chain.from_iterable(chunk))
+
+    return line
+
+
 def _emit(fmt: str, params_obj: dict, columns: tuple[str, ...], rows, line=None,
           render=None) -> None:
     """Write ``rows``, tuples of the values of ``columns`` (bare values for
-    one column), on stdout, one ``write`` per chunk of rows.  A CSV row is
-    ``line(row)``; a JSON row is ``dict(zip(columns, row))`` as
+    one column), on stdout, one ``write`` per chunk of rows.  In CSV,
+    ``line(chunk)`` is the text of a chunk's rows, one line each, joined by
+    newlines; a JSON row is ``dict(zip(columns, row))`` as
     json.dumps(indent=2) prints it.  Row 1 is a chunk of its own and goes
     out with the opening, before row 2 is made; ``_ECHO_CHUNK`` rows make
     each later chunk.
@@ -178,10 +195,10 @@ def _emit(fmt: str, params_obj: dict, columns: tuple[str, ...], rows, line=None,
     if render is not None:
         chunks = rows
     else:
-        # a row becomes its line or dict as it is taken: a chunk holds no tuples
         if fmt == "csv":
-            rows, render = map(line, rows), lambda chunk, sep: sep.join(chunk)
+            render = lambda chunk, sep: line(chunk)
         else:
+            # a row becomes its dict as it is taken: a chunk holds no tuples
             if len(columns) > 1:
                 rows = (dict(zip(columns, row)) for row in rows)
             # the chunk's list without its brackets, one level deeper
@@ -338,7 +355,7 @@ def cmd_table(total: int, good: int, fmt: str) -> None:
         fmt, {"n": total, "k": good},
         ("n", "pmf_exact", "pmf_float", "cdf_exact", "cdf_float"),
         _table_rows(params),
-        lambda r: f"{r[0]},{r[1]},{r[2]:.17g},{r[3]},{r[4]:.17g}",
+        _csv_format("%d,%s,%.17g,%s,%.17g"),
     )
 
 
@@ -354,7 +371,8 @@ def cmd_stats(total: int, good: int, fmt: str) -> None:
         fmt, {"n": total, "k": good},
         ("mean", "variance", "median", "mode", "support"),
         [row],
-        lambda r: f"{r[0]},{r[1]},{r[2]},{r[3][0]}..{r[3][-1]},{r[4][0]}..{r[4][-1]}",
+        lambda rows: "\n".join(
+            f"{r[0]},{r[1]},{r[2]},{r[3][0]}..{r[3][-1]},{r[4][0]}..{r[4][-1]}" for r in rows),
     )
 
 
@@ -370,6 +388,8 @@ def cmd_sample(
     total: int, good: int, count: int, seed: int | None, method: str, fmt: str
 ) -> None:
     """Draw variates; the stream is a pure function of (seed, method)."""
+    from .rng import SamplerState
+
     params = UrnParams(total=total, good=good)
     require_int("count", count, 1)
     _require_output_budget(params.support_size, count)
@@ -397,6 +417,8 @@ def cmd_converge(p_num: int, p_den: int, totals_csv: str, fmt: str) -> None:
         raise ParameterError(
             f"p must be a positive rational, got {p_num}/{p_den}"
         )
+    from fractions import Fraction
+
     p = Fraction(p_num, p_den)
     try:
         totals = [int(part) for part in totals_csv.split(",") if part.strip()]
@@ -408,7 +430,7 @@ def cmd_converge(p_num: int, p_den: int, totals_csv: str, fmt: str) -> None:
         ("N", "K", "p", "tv_distance", "max_pointwise_error", "at_n"),
         ((r.total, r.good, r.p, r.tv_distance, r.max_pointwise_error, r.at_n)
          for r in records),
-        lambda r: f"{r[0]},{r[1]},{r[2]:.17g},{r[3]:.17g},{r[4]:.17g},{r[5]}",
+        _csv_format("%d,%d,%.17g,%.17g,%.17g,%d"),
     )
 
 
@@ -431,7 +453,7 @@ def cmd_check(max_total: int, force: bool, fmt: str) -> None:
         ("family", "cases", "failures", "first_failure"),
         ((r.name, r.cases, len(r.failures), r.failures[0] if r.failures else None)
          for r in results),
-        lambda r: f"{r[0]},{r[1]},{r[2]},{r[3] or ''}",
+        lambda rows: "\n".join(f"{r[0]},{r[1]},{r[2]},{r[3] or ''}" for r in rows),
     )
     failed = [r for r in results if not r.ok]
     if failed:

@@ -73,12 +73,12 @@ for N below about 5e17.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
+from ._record import FrozenRecord
 from .errors import ParameterError, ResourceGuardError, require_int
 from .exact import UrnParams
 from .floats import LOG_FAIL_BLOCK, _fail_constants, _workspace
@@ -97,16 +97,14 @@ __all__ = [
 _SCAN_POINTS_LIMIT = 2 * 10**8
 
 
-@dataclass(frozen=True)
-class ConvergenceRecord:
+class ConvergenceRecord(FrozenRecord):
     """One row of a convergence report: distances at a single urn size."""
 
-    total: int
-    good: int
-    p: float
-    tv_distance: float
-    max_pointwise_error: float
-    at_n: int
+    __slots__ = ("total", "good", "p", "tv_distance", "max_pointwise_error", "at_n")
+
+    def __init__(self, total: int, good: int, p: float, tv_distance: float,
+                 max_pointwise_error: float, at_n: int) -> None:
+        super().__init__(total, good, p, tv_distance, max_pointwise_error, at_n)
 
 
 def geometric_pmf(p: float, n: int) -> float:

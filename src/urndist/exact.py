@@ -25,10 +25,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
-from fractions import Fraction
 
+from ._record import FrozenRecord
 from .errors import ParameterError, require_int
+
+# ``fractions`` is imported by the functions that make a Fraction, so that
+# `urn table` and `urn sample` never load it (nor ``decimal``, which it
+# imports); the annotations name Fraction as text (PEP 563)
 
 __all__ = [
     "UrnParams",
@@ -50,8 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class UrnParams:
+class UrnParams(FrozenRecord):
     """Validated urn description: ``total`` objects, ``good`` of them good.
 
     Instances are immutable and safe to share between threads or processes.
@@ -59,16 +61,16 @@ class UrnParams:
     success never happens and no distribution exists.
     """
 
-    total: int
-    good: int
+    __slots__ = ("total", "good")
 
-    def __post_init__(self) -> None:
-        require_int("total", self.total)
-        require_int("good", self.good, 1)
-        if self.total < self.good:
+    def __init__(self, total: int, good: int) -> None:
+        require_int("total", total)
+        require_int("good", good, 1)
+        if total < good:
             raise ParameterError(
-                f"total must be >= good, got total={self.total} good={self.good}"
+                f"total must be >= good, got total={total} good={good}"
             )
+        super().__init__(total, good)
 
     @property
     def support_size(self) -> int:
@@ -100,6 +102,8 @@ def fail_probability(params: UrnParams, n: int) -> Fraction:
     Equals C(total-n, good) / C(total, good); by convention 1 at n = 0 and
     0 once n exceeds the number of bad objects.
     """
+    from fractions import Fraction
+
     require_int("draw count", n, 0)
     if n == 0:
         return Fraction(1)
@@ -116,6 +120,8 @@ def pmf(params: UrnParams, n: int) -> Fraction:
 
     Exactly 0 outside the support; n < 1 is a domain error.
     """
+    from fractions import Fraction
+
     require_int("draw index", n, 1)
     if n > params.support_size:
         return Fraction(0)
@@ -131,6 +137,8 @@ def cdf(params: UrnParams, n: int) -> Fraction:
 
 def mean(params: UrnParams) -> Fraction:
     """E[X] = (total + 1) / (good + 1)."""
+    from fractions import Fraction
+
     return Fraction(params.total + 1, params.good + 1)
 
 
@@ -140,6 +148,8 @@ def variance(params: UrnParams) -> Fraction:
     For good = 1 this reduces to the uniform-distribution variance
     (total^2 - 1) / 12.
     """
+    from fractions import Fraction
+
     n, k = params.total, params.good
     return Fraction(k * (n - k) * (n + 1), (k + 2) * (k + 1) ** 2)
 
@@ -189,8 +199,7 @@ def mode(params: UrnParams) -> range:
     return support(params)
 
 
-@dataclass(frozen=True)
-class PmfTable:
+class PmfTable(FrozenRecord):
     """The full exact mass function: P(X = n) is ``numerators[n-1] /
     denominator``, over D = C(total, good) from ``pmf_table`` and the
     enumeration oracle alike.  The numerators are positive, sum to the
@@ -198,26 +207,36 @@ class PmfTable:
     good = 1).  Each sum below adds integers and returns one Fraction.
     """
 
-    params: UrnParams
-    numerators: tuple[int, ...]
-    denominator: int
+    __slots__ = ("params", "numerators", "denominator")
+
+    def __init__(self, params: UrnParams, numerators: tuple[int, ...],
+                 denominator: int) -> None:
+        super().__init__(params, numerators, denominator)
 
     @property
     def probabilities(self) -> tuple[Fraction, ...]:
         """P(X = n) for n = 1..total-good+1, as Fractions built on each read."""
+        from fractions import Fraction
+
         return tuple(Fraction(a, self.denominator) for a in self.numerators)
 
     def probability(self, n: int) -> Fraction:
         """P(X = n) looked up from the table; 0 outside the support."""
+        from fractions import Fraction
+
         if 1 <= n <= len(self.numerators):
             return Fraction(self.numerators[n - 1], self.denominator)
         return Fraction(0)
 
     def total_mass(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(sum(self.numerators), self.denominator)
 
     def mean(self) -> Fraction:
         """First moment computed directly from the table entries."""
+        from fractions import Fraction
+
         return Fraction(
             sum(n * a for n, a in enumerate(self.numerators, start=1)), self.denominator
         )
@@ -225,6 +244,8 @@ class PmfTable:
     def variance(self, first_moment: Fraction | None = None) -> Fraction:
         """Second central moment computed directly from the table entries;
         a ``first_moment`` from ``mean()`` spares summing it again."""
+        from fractions import Fraction
+
         m = self.mean() if first_moment is None else first_moment
         second = sum(n * n * a for n, a in enumerate(self.numerators, start=1))
         return Fraction(second, self.denominator) - m * m

@@ -10,12 +10,12 @@ urn-walk sampler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
+from ._record import FrozenRecord
 from .errors import ResourceGuardError, require_int
 from .exact import PmfTable, UrnParams
 from .rng import SamplerState
@@ -28,13 +28,13 @@ __all__ = ["ENUMERATION_LIMIT", "EmpiricalPmf", "enumerate_pmf", "mc_estimate"]
 ENUMERATION_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class EmpiricalPmf:
+class EmpiricalPmf(FrozenRecord):
     """Tally of sampled outcomes: counts[i] draws landed on outcome i+1."""
 
-    params: UrnParams
-    counts: tuple[int, ...]
-    trials: int
+    __slots__ = ("params", "counts", "trials")
+
+    def __init__(self, params: UrnParams, counts: tuple[int, ...], trials: int) -> None:
+        super().__init__(params, counts, trials)
 
     def frequency(self, n: int) -> float:
         return self.counts[n - 1] / self.trials

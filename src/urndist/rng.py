@@ -26,7 +26,7 @@ onto another substream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from ._record import Record
 
 __all__ = ["SamplerState", "mix64", "draw_root", "step_uniform", "splitmix64_next"]
 
@@ -67,8 +67,7 @@ def step_uniform(root: int, step: int) -> float:
     return (word >> 11) * U53
 
 
-@dataclass
-class SamplerState:
+class SamplerState(Record):
     """Seeded generator state owned by exactly one sampler at a time.
 
     ``draw_index`` counts how many variates have been consumed; samplers
@@ -78,12 +77,10 @@ class SamplerState:
     deterministically from the parent seed.
     """
 
-    seed: int
-    draw_index: int = field(default=0)
+    __slots__ = ("seed", "draw_index")
 
-    def __post_init__(self) -> None:
-        self.seed = int(self.seed) & MASK64
-        self.draw_index = int(self.draw_index)
+    def __init__(self, seed: int, draw_index: int = 0) -> None:
+        super().__init__(int(seed) & MASK64, int(draw_index))
 
     def take(self, count: int) -> int:
         """Reserve ``count`` draw indices, returning the first one."""

@@ -256,6 +256,111 @@ def _stats_fuzz_cases(seed, count):
     return [(str(total), str(good), fmt) for total, good, fmt in cases]
 
 
+def _slow_walk(total, good, count):
+    # more than 2e7 of the expected lane-steps that the `sample --method
+    # urn` guard bounds, but within its limit
+    work = (count + cli_mod._WALK_STEP_LANES) * (total + 1)
+    return 2 * 10**7 * (good + 1) < work <= cli_mod._WALK_WORK_LIMIT * (good + 1)
+
+
+def _sample_fuzz_cases(seed, count):
+    """(total, good, count, method, format) argument strings for `urn
+    sample`: the adversarial ones in both methods and formats, then
+    ``count`` drawn from a seeded generator.  Two kinds of valid runs are
+    left out, because they take seconds by design or for a cause of their
+    own, not the CLI's:
+
+    - the inverse sampler on urns below the float domain (total < 2^511)
+      with a mean draw above 10^4: its search scans the cdf blocks up to
+      the largest quantile, once per 2^16 draws, so 250,000 draws at
+      (10^8, 1) took 10 s and (10^12, 1) does not end;
+    - urn walks of more than 2e7 expected lane-steps: the walk guard
+      accepts up to ``_WALK_WORK_LIMIT`` = 2e9 of them, about 10 s.
+
+    A valid count is at most 2000 or passes the output guard (more than
+    2^40 bytes of CSV), so no case writes a long stream."""
+    wide, huge = 10**4299, 2**600  # 4300 digits: the int-to-str limit
+    fixed = [
+        (wide, 1, 3), (wide, wide, 3), (wide, wide - 5, 3), (wide, wide + 1, 3),
+        ("1" + "0" * 4300, 1, 3), (huge, 1, 3), (huge, huge - 5, 3), (huge, huge, 3),
+        (2**511 - 1, 2**511 - 7, 3), (2**64 + 5, 2**64, 3), (2**63 + 5, 2**63, 3),
+        (-5, 1, 3), (5, -1, 3), (-5, -5, 3), (5, 0, 3), (0, 0, 3), (5, 6, 3), (7, 7, 3),
+        (1, 1, 1), (10, 3, 0), (10, 3, -1), (10, 3, 10**12), (10, 3, 2**62), (10, 3, huge),
+        (10, 3, wide), (10, 3, "1" + "0" * 4300), (10, 3, "1.5"), (10, 3, ""),
+        (10**4, 1, 2000),
+    ]
+    cases = [(*case, method, fmt) for case in fixed
+             for method in ("urn", "inverse") for fmt in ("csv", "json")]
+    rng = random.Random(seed)
+    while len(cases) < 4 * len(fixed) + count:
+        total = rng.choice([
+            rng.randint(-3, 3000),
+            10 ** rng.randint(4, 4299) + rng.randint(-9, 9),
+            huge + rng.randint(-9, 9),
+            -rng.randint(1, 10**20),
+        ])
+        good = rng.choice([
+            0, -1, 1, total, total + 1, total - rng.randint(0, 1000), rng.randint(1, 3000),
+        ])
+        draws = rng.choice([
+            rng.randint(-2, 2000), 10 ** rng.randint(12, 4299), 2**62, huge, "x",
+        ])
+        method = rng.choice(["urn", "inverse"])
+        if 1 <= good <= total and isinstance(draws, int) and 1 <= draws <= 2000:
+            if method == "inverse" and total < 2**511 and total + 1 > 10**4 * (good + 1):
+                continue
+            if method == "urn" and _slow_walk(total, good, draws):
+                continue
+        cases.append((total, good, draws, method, rng.choice(["csv", "json"])))
+    return [(str(total), str(good), str(draws), method, fmt)
+            for total, good, draws, method, fmt in cases]
+
+
+def _slow_sweep(max_n, force):
+    # a --force sweep past _SWEEP_LIMIT, up to _FORCE_LIMIT: 20-216 s by design
+    return (force and isinstance(max_n, int)
+            and checks._SWEEP_LIMIT < max_n <= checks._FORCE_LIMIT)
+
+
+def _check_fuzz_cases(seed, count):
+    """(max_n, force, format) arguments for `urn check`: the adversarial
+    ones, then ``count`` drawn from a seeded generator.  A sweep that runs
+    goes up to a total of at most 30 (about 0.3 s); the accepted `--force`
+    sweeps past ``_SWEEP_LIMIT`` are left out (``_slow_sweep``)."""
+    wide, huge = 10**4299, 2**600  # 4300 digits: the int-to-str limit
+    fixed = [
+        -1, 0, 1, 2, 12, checks._SWEEP_LIMIT + 1, checks._FORCE_LIMIT,
+        checks._FORCE_LIMIT + 1, 2 * 10**12, huge, wide, -wide, "1" + "0" * 4300,
+        "1.5", "x", "",
+    ]
+    cases = [(max_n, force, fmt) for max_n in fixed for force in (False, True)
+             for fmt in ("csv", "json") if not _slow_sweep(max_n, force)]
+    rng = random.Random(seed)
+    while len(cases) < 4 * len(fixed) - 4 + count:  # 2 fixed values are slow with --force
+        max_n = rng.choice([
+            rng.randint(-3, 30), checks._SWEEP_LIMIT + rng.randint(1, 10**6),
+            10 ** rng.randint(3, 4299), -rng.randint(1, 10**20), huge + rng.randint(-9, 9),
+        ])
+        force = rng.random() < 0.5
+        if not _slow_sweep(max_n, force):
+            cases.append((max_n, force, rng.choice(["csv", "json"])))
+    return [(str(max_n), force, fmt) for max_n, force, fmt in cases]
+
+
+def _assert_one_line_or_output(result, case, codes=(0, 2, 3)):
+    # an exit in `codes`, no traceback and at most one `error:` line; a
+    # refusal writes nothing on stdout and that one line on stderr
+    assert result.exit_code in codes, case
+    assert "Traceback" not in result.stderr, case
+    lines = result.stderr.splitlines()
+    assert sum(line.startswith("error: ") for line in lines) <= 1, case
+    if result.exit_code in (2, 3):
+        assert result.stdout == "", case
+        assert len(lines) == 1 and lines[0].startswith("error: "), case
+    elif result.exit_code == 0:
+        assert lines == [], case
+
+
 class TestTable:
     def test_uniform_three_csv(self, runner):
         result = run(runner, "table", "--n", "3", "--k", "1")
@@ -757,6 +862,25 @@ class TestSample:
         with pytest.raises(ResourceGuardError):
             _require_walk_budget(total + 1, 1, 1)
 
+    def test_fuzzed_arguments_end_in_one_line_or_draws(self, runner):
+        # in process through cli.main; see _sample_fuzz_cases for the runs
+        # left out
+        for total, good, count, method, fmt in _sample_fuzz_cases(seed=2024, count=60):
+            case = (f"{total[:8]}..({len(total)} chars)", f"{good[:8]}..({len(good)} chars)",
+                    f"{count[:8]}..({len(count)} chars)", method, fmt)
+            start = time.perf_counter()
+            result = run(runner, "sample", "--n", total, "--k", good, "--count", count,
+                         "--method", method, "--seed", "5", "--format", fmt)
+            assert time.perf_counter() - start < 2.0, case
+            _assert_one_line_or_output(result, case)
+            if result.exit_code == 0:
+                if fmt == "json":
+                    draws = json.loads(result.stdout)["rows"]
+                else:
+                    draws = list(map(int, result.stdout.splitlines()[1:]))
+                assert len(draws) == int(count), case
+                assert all(1 <= d <= int(total) - int(good) + 1 for d in draws), case
+
 
 def _emit_bytes(fmt, values):
     """The stdout bytes of ``cli._emit`` on ``values``, one column of a
@@ -772,7 +896,8 @@ def _emit_bytes(fmt, values):
             cli_mod._emit(fmt, {"count": len(values)}, ("value",), slices,
                           render=cli_mod._decimal_text)
         else:
-            cli_mod._emit(fmt, {"count": len(values)}, ("value",), values, str)
+            cli_mod._emit(fmt, {"count": len(values)}, ("value",), values,
+                          lambda chunk: "\n".join(map(str, chunk)))
     return buffer.getvalue()
 
 
@@ -1009,6 +1134,21 @@ class TestCheck:
         assert "total=4" in result.stderr
         assert "moments,5,1,mean mismatch" in result.output
 
+    def test_fuzzed_arguments_end_in_one_line_or_a_report(self, runner):
+        # in process through cli.main; see _check_fuzz_cases for the runs
+        # left out
+        for max_n, force, fmt in _check_fuzz_cases(seed=2025, count=30):
+            case = (f"{max_n[:8]}..({len(max_n)} chars)", force, fmt)
+            start = time.perf_counter()
+            result = run(runner, "check", "--max-n", max_n, *["--force"] * force,
+                         "--format", fmt)
+            assert time.perf_counter() - start < 2.0, case
+            _assert_one_line_or_output(result, case, codes=(0, 2, 3, 4))
+            if result.exit_code == 0:
+                report = (json.loads(result.stdout)["rows"] if fmt == "json"
+                          else result.stdout.splitlines()[1:])
+                assert len(report) == 6, case
+
 
 class TestImport:
     def test_cli_import_leaves_scipy_out(self):
@@ -1084,6 +1224,51 @@ class TestImport:
             check=True,
         )
         assert out.stdout.strip() == str([False, loads_numpy])
+
+    @pytest.mark.parametrize(
+        "args, loads_fractions",
+        [
+            (("table", "--n", "1000", "--k", "7"), False),
+            (("table", "--n", "10", "--k", "3", "--format", "json"), False),
+            (("sample", "--n", "10", "--k", "3", "--count", "3"), False),
+            (("sample", "--n", "10", "--k", "3", "--count", "3", "--method", "inverse"),
+             False),
+            (("--help",), False),
+            (("tabel", "--n", "10", "--k", "3"), False),
+            (("stats", "--n", "1000", "--k", "7"), True),
+            (("converge", "--p-num", "1", "--p-den", "10", "--ns", "100"), True),
+            (("check", "--max-n", "4"), True),
+        ],
+        ids=["table", "table-json", "sample", "sample-inverse", "help", "usage-error",
+             "stats", "converge", "check"],
+    )
+    def test_fractions_only_where_a_fraction_is_made(self, args, loads_fractions):
+        # `import urndist.cli` loads no dataclasses (it imports inspect and
+        # ast) and no fractions (it imports decimal); a command loads
+        # fractions only if it makes a Fraction, and no command loads
+        # dataclasses
+        code = (
+            "import contextlib, io, sys\n"
+            "import urndist.cli\n"
+            "slow = ('dataclasses', 'inspect', 'fractions', 'decimal')\n"
+            "print([m for m in slow if m in sys.modules])\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            "        urndist.cli.main(sys.argv[1:])\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "print(['fractions' in sys.modules, 'dataclasses' in sys.modules])\n"
+        )
+        root = os.path.dirname(os.path.dirname(urndist.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code, *args],
+            env=dict(os.environ, PYTHONPATH=root),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.splitlines() == ["[]", str([loads_fractions, False])]
 
     @pytest.mark.parametrize(
         "args, entry",
