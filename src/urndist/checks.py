@@ -19,7 +19,7 @@ from itertools import zip_longest
 from math import comb
 
 from ._record import Record
-from .errors import ResourceGuardError, require_int
+from .errors import ResourceGuardError, brief, require_int
 from .exact import (
     PmfTable,
     UrnParams,
@@ -210,12 +210,12 @@ def run_all(max_total: int, *, force: bool = False) -> list[FamilyResult]:
     require_int("max total", max_total, 1)
     if max_total > _FORCE_LIMIT:
         raise ResourceGuardError(
-            f"the check sweep up to total={max_total} is refused (max total > "
+            f"the check sweep up to total={brief(max_total)} is refused (max total > "
             f"{_FORCE_LIMIT}, with or without force): its cost grows faster than max_total^3"
         )
     if max_total > _SWEEP_LIMIT and not force:
         raise ResourceGuardError(
-            f"the check sweep up to total={max_total} is refused (max total > "
+            f"the check sweep up to total={brief(max_total)} is refused (max total > "
             f"{_SWEEP_LIMIT}); pass force=True (urn check --force) to override"
         )
     # the per-urn families in report order, each with the largest total it

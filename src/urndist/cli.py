@@ -8,12 +8,13 @@ and the standard library only, and loads what a command does not use only
 when it runs: numpy and the float layer come in with ``sample`` and
 ``converge`` alone (their entry points, ``sample_urn_walk_batch``,
 ``sample_inverse_cdf_batch`` and ``convergence_table``, are module
-attributes imported on first read), ``urn check`` imports the self-check
-modules, JSON output imports ``json``, ``sample`` alone imports the
-generator state of ``rng``, and ``fractions`` comes in with the code that
-makes a Fraction (``stats``, ``converge`` and ``check``).  So ``table``,
-``stats``, ``--help`` and a usage error run without numpy, and ``table``,
-``sample``, ``--help`` and a usage error without ``fractions``.
+attributes read from the package on first use), ``urn check`` imports
+the exact self-check modules, JSON output imports ``json``, ``sample``
+alone imports the generator state of ``rng``, and ``fractions`` comes in
+with the code that makes a Fraction (``stats``, ``converge`` and
+``check``).  So ``table``, ``stats``, ``check``, ``--help`` and a usage
+error run without numpy, and ``table``, ``sample``, ``--help`` and a usage
+error without ``fractions``.
 
 Output: each subcommand names its columns once and hands its rows to one
 writer, ``_emit``.  CSV is a header and one line per row, floats at 17
@@ -33,22 +34,23 @@ no Python object per draw; its memory does not grow with ``--count``.
 Exit codes: 0 success, 2 usage or validation error, 3 resource guard
 tripped (a size, work or output limit) or stdout write refused (the help
 text's included), 4 self-check failure, 141 (128 + SIGPIPE) when the
-reader of stdout closes it early.  Every error, a usage error
-included, is one ``error: ...`` line on stderr.  The environment variable
-URN_SEED supplies a default sampling seed (an explicit --seed always wins).
+reader of stdout closes it early.  Every error, a usage error included,
+is one ``error: ...`` line on stderr, which shows an argument of more than
+21 digits or 40 characters by its head and its length (``errors.brief``).
+The environment variable URN_SEED supplies a default sampling seed (an
+explicit --seed always wins).
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import itertools
 import math
 import os
 import sys
 import types
 
-from .errors import ParameterError, ResourceGuardError, UrnError, require_int
+from .errors import ParameterError, ResourceGuardError, UrnError, brief, require_int
 from .exact import (
     UrnParams,
     mean,
@@ -90,19 +92,15 @@ _WALK_STEP_LANES = 100
 _SAMPLE_BYTES_LIMIT = 1 << 40
 
 
-# the entry points that need numpy -> their module, imported on first read
-_LAZY = {
-    "sample_urn_walk_batch": "sampler",
-    "sample_inverse_cdf_batch": "sampler",
-    "convergence_table": "convergence",
-}
+# the entry points that need numpy, read on first use from the package,
+# which imports each from its submodule
+_LAZY = ("sample_urn_walk_batch", "sample_inverse_cdf_batch", "convergence_table")
 
 
 def __getattr__(name: str):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{_LAZY[name]}", __package__)
-    globals()[name] = value = getattr(module, name)
+    globals()[name] = value = getattr(sys.modules[__package__], name)
     return value
 
 
@@ -235,7 +233,7 @@ def _require_printable(total: int, good: int) -> None:
         return
     if low > limit + 1 or math.comb(total, good) >= 10**limit:
         raise ResourceGuardError(
-            f"C({total}, {good}) has more than {limit} decimal digits, the "
+            f"C({brief(total)}, {brief(good)}) has more than {limit} decimal digits, the "
             f"integer-to-string limit, so the exact table cannot be written"
         )
 
@@ -249,7 +247,7 @@ def _require_walk_budget(total: int, good: int, count: int) -> None:
     """
     if (count + _WALK_STEP_LANES) * (total + 1) > _WALK_WORK_LIMIT * (good + 1):
         raise ResourceGuardError(
-            f"{count} urn walks of mean length (n+1)/(k+1) exceed the work "
+            f"{brief(count)} urn walks of mean length (n+1)/(k+1) exceed the work "
             f"limit of {_WALK_WORK_LIMIT:.3g} lane-steps; use --method inverse"
         )
 
@@ -263,7 +261,7 @@ def _require_output_budget(support: int, count: int) -> None:
     """
     if count * (len(str(support)) + 1) > _SAMPLE_BYTES_LIMIT:
         raise ResourceGuardError(
-            f"{count} draws of up to {len(str(support))} digits exceed the output "
+            f"{brief(count)} draws of up to {len(str(support))} digits exceed the output "
             f"limit of {_SAMPLE_BYTES_LIMIT} bytes"
         )
 
@@ -308,13 +306,22 @@ def _resolve_seed(seed: int | None) -> int:
         try:
             return int(env, 0)
         except ValueError:
-            raise ParameterError(f"URN_SEED must be an integer, got {env!r}")
+            raise ParameterError(f"URN_SEED must be an integer, got {brief(env)}")
     return 0
 
 
+def _int(text: str) -> int:
+    # the type of every integer option: argparse's message for a text that is
+    # no int, with the text through brief
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {brief(text)}") from None
+
+
 _URN_OPTIONS = (
-    ("--n", dict(dest="total", type=int, required=True, help="Total objects in the urn.")),
-    ("--k", dict(dest="good", type=int, required=True, help="Number of good objects.")),
+    ("--n", dict(dest="total", type=_int, required=True, help="Total objects in the urn.")),
+    ("--k", dict(dest="good", type=_int, required=True, help="Number of good objects.")),
 )
 _FORMAT_OPTION = ("--format", dict(dest="fmt", choices=("csv", "json"), default="csv",
                                    help="Output format on stdout (default: %(default)s)."))
@@ -347,7 +354,7 @@ def cmd_table(total: int, good: int, fmt: str) -> None:
     params = UrnParams(total=total, good=good)
     if params.support_size > _TABLE_ROWS_LIMIT:
         raise ResourceGuardError(
-            f"support size {params.support_size} exceeds the table limit "
+            f"support size {brief(params.support_size)} exceeds the table limit "
             f"of {_TABLE_ROWS_LIMIT} rows"
         )
     _require_printable(total, good)
@@ -378,8 +385,8 @@ def cmd_stats(total: int, good: int, fmt: str) -> None:
 
 @_command(
     "sample", *_URN_OPTIONS,
-    ("--count", dict(type=int, required=True, help="Number of draws.")),
-    ("--seed", dict(type=int, default=None, help="RNG seed (default: $URN_SEED or 0).")),
+    ("--count", dict(type=_int, required=True, help="Number of draws.")),
+    ("--seed", dict(type=_int, default=None, help="RNG seed (default: $URN_SEED or 0).")),
     ("--method", dict(choices=("urn", "inverse"), default="urn",
                       help="urn: simulate the shrinking urn; inverse: invert the cdf "
                            "(default: %(default)s).")),
@@ -406,8 +413,8 @@ def cmd_sample(
 
 @_command(
     "converge",
-    ("--p-num", dict(type=int, required=True, help="Numerator of the good fraction p.")),
-    ("--p-den", dict(type=int, required=True, help="Denominator of the good fraction p.")),
+    ("--p-num", dict(type=_int, required=True, help="Numerator of the good fraction p.")),
+    ("--p-den", dict(type=_int, required=True, help="Denominator of the good fraction p.")),
     ("--ns", dict(dest="totals_csv", required=True,
                   help="Comma-separated urn sizes, e.g. 100,1000,10000.")),
 )
@@ -415,7 +422,7 @@ def cmd_converge(p_num: int, p_den: int, totals_csv: str, fmt: str) -> None:
     """Distance to the geometric law along a sequence of urn sizes."""
     if p_den <= 0 or p_num <= 0:
         raise ParameterError(
-            f"p must be a positive rational, got {p_num}/{p_den}"
+            f"p must be a positive rational, got {brief(p_num)}/{brief(p_den)}"
         )
     from fractions import Fraction
 
@@ -423,7 +430,7 @@ def cmd_converge(p_num: int, p_den: int, totals_csv: str, fmt: str) -> None:
     try:
         totals = [int(part) for part in totals_csv.split(",") if part.strip()]
     except ValueError:
-        raise ParameterError(f"--ns must be comma-separated integers, got {totals_csv!r}")
+        raise ParameterError(f"--ns must be comma-separated integers, got {brief(totals_csv)}")
     records = _entry("convergence_table")(p, totals)
     _emit(
         fmt, {"p": _frac(p), "ns": totals},
@@ -436,7 +443,7 @@ def cmd_converge(p_num: int, p_den: int, totals_csv: str, fmt: str) -> None:
 
 @_command(
     "check",
-    ("--max-n", dict(dest="max_total", type=int, default=12,
+    ("--max-n", dict(dest="max_total", type=_int, default=12,
                      help="Upper bound of the verification sweep (default: %(default)s).")),
     ("--force", dict(action="store_true",
                      help="Lift the sweep size guard on --max-n up to a fixed work "

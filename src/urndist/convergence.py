@@ -79,9 +79,9 @@ from fractions import Fraction
 import numpy as np
 
 from ._record import FrozenRecord
-from .errors import ParameterError, ResourceGuardError, require_int
+from .errors import ParameterError, ResourceGuardError, brief, require_int
 from .exact import UrnParams
-from .floats import LOG_FAIL_BLOCK, _fail_constants, _workspace
+from .floats import LOG_FAIL_BLOCK, _fail_constants
 
 __all__ = [
     "ConvergenceRecord",
@@ -153,10 +153,8 @@ def _tv_stats(params: UrnParams) -> tuple[float, float, int]:
     p, ratio = good / total, good / bad
     tv = max_err = gap = 0.0
     at_n, crossed, j0 = 1, False, 1
-    # the float layer's workspace: k = 0, 1, ... and two scratch blocks; the
-    # scan's third block, q^j, is its own
-    k, x, y = _workspace()
-    geo = np.empty(min(LOG_FAIL_BLOCK, bad))
+    k = np.arange(min(LOG_FAIL_BLOCK, bad), dtype=np.float64)
+    x, y, geo = np.empty((3, k.size))
     while j0 <= bad:  # the block j = j0, j0 + 1, ..., at n = j + 1
         if crossed and math.exp(j0 * log_q) * good / (total - j0) < max_err:
             break
@@ -212,8 +210,10 @@ def convergence_table(
     """
     if not isinstance(p, Fraction):
         raise ParameterError(f"p must be a Fraction, got {p!r}")
+    # p as str(p) writes it, each part through brief
+    p_text = brief(p.numerator) + (f"/{brief(p.denominator)}" if p.denominator > 1 else "")
     if not 0 < p < 1:
-        raise ParameterError(f"p must lie strictly between 0 and 1, got {p}")
+        raise ParameterError(f"p must lie strictly between 0 and 1, got {p_text}")
     if not totals:
         raise ParameterError("totals must be non-empty")
     urns = []
@@ -222,8 +222,8 @@ def convergence_table(
         good_times_den = total * p.numerator
         if good_times_den % p.denominator:
             raise ParameterError(
-                f"total={total} is incompatible with p={p}: "
-                f"{total} * {p} is not an integer"
+                f"total={brief(total)} is incompatible with p={p_text}: "
+                f"{brief(total)} * {p_text} is not an integer"
             )
         urns.append(UrnParams(total=total, good=good_times_den // p.denominator))
         _require_scan_budget(urns[-1])

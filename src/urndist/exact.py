@@ -27,7 +27,7 @@ import math
 from collections.abc import Iterator
 
 from ._record import FrozenRecord
-from .errors import ParameterError, require_int
+from .errors import ParameterError, brief, require_int
 
 # ``fractions`` is imported by the functions that make a Fraction, so that
 # `urn table` and `urn sample` never load it (nor ``decimal``, which it
@@ -68,7 +68,7 @@ class UrnParams(FrozenRecord):
         require_int("good", good, 1)
         if total < good:
             raise ParameterError(
-                f"total must be >= good, got total={total} good={good}"
+                f"total must be >= good, got total={brief(total)} good={brief(good)}"
             )
         super().__init__(total, good)
 

@@ -31,14 +31,11 @@ in-place ufuncs (``out=``), in the same operation order as the scalar
 expressions, into a per-thread workspace of three such blocks (768 KiB,
 allocated once per thread; m, a and b are rebuilt from the offsets k where
 needed rather than kept).  So a block allocates no array of its size but
-its result, and its values do not depend on the workspace.  The
-workspace is the float layer's only scratch: ``_kernels.pmf_float_range``
-uses its two scratch blocks between block calls, and the convergence scan,
-which evaluates no log-fail block, holds its log-ratio and pmf-difference
-blocks there (and q^j in one block of its own).  It holds values only
-within one call: every array returned or yielded here
-or by ``_kernels`` is fresh, so ``list(cdf_blocks(...))`` keeps every
-block, and threads never share scratch space.
+its result, and its values do not depend on the workspace.  The workspace
+is the private scratch of ``_log_fail_into``, the one log-fail block
+kernel: no other code reads or writes it, and every array this module
+returns or yields is fresh, so ``list(cdf_blocks(...))`` keeps every block,
+and threads never share scratch space.
 
 Stated bounds: 1e-13 relative on log-fail values however small, and
 1e-10 relative on pmf and cdf values.  ``pmf_float`` rounds once, in its
@@ -185,21 +182,15 @@ def _log_fail(total: int, good: int, m: int) -> float:
 
 
 # Points per log_fail_block call, so that a block's temporaries stay in
-# cache.  They live in a per-thread workspace of such blocks (``_workspace``)
-# that holds values only within one call: every array this module or
-# ``_kernels`` returns or yields is fresh.
+# cache.
 LOG_FAIL_BLOCK = 1 << 15
 _local = threading.local()
 
 
 def _workspace() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """This thread's three blocks of LOG_FAIL_BLOCK doubles, (k, x, y): the
-    read-only k = 0, 1, ..., then two scratch blocks for ``_log_fail_into``.
-
-    The scratch blocks are free once ``_log_fail_into``, or a caller of it
-    such as ``_kernels.pmf_float_range``, returns: other code on the thread
-    may use them if it fills them after each such call and reads them
-    before the next."""
+    read-only k = 0, 1, ..., then the two scratch blocks of
+    ``_log_fail_into``, its only user (see Block workspace above)."""
     blocks = getattr(_local, "blocks", None)
     if blocks is None:
         k = np.arange(LOG_FAIL_BLOCK, dtype=np.float64)

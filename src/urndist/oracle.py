@@ -13,13 +13,13 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-import numpy as np
-
 from ._record import FrozenRecord
-from .errors import ResourceGuardError, require_int
+from .errors import ResourceGuardError, brief, require_int
 from .exact import PmfTable, UrnParams
-from .rng import SamplerState
-from .sampler import sample_urn_walk_batch
+
+# numpy and the samplers are imported by ``mc_estimate``, their one user, so
+# that the exact self-check loads no float layer; the annotations name
+# SamplerState as text (PEP 563)
 
 __all__ = ["ENUMERATION_LIMIT", "EmpiricalPmf", "enumerate_pmf", "mc_estimate"]
 
@@ -55,7 +55,7 @@ def enumerate_pmf(params: UrnParams) -> PmfTable:
     """
     if params.total > ENUMERATION_LIMIT:
         raise ResourceGuardError(
-            f"enumeration over C({params.total}, {params.good}) placements "
+            f"enumeration over C({brief(params.total)}, {brief(params.good)}) placements "
             f"refused (total > {ENUMERATION_LIMIT})"
         )
     counts = [0] * params.support_size
@@ -72,6 +72,10 @@ def mc_estimate(
     params: UrnParams, trials: int, state: SamplerState
 ) -> EmpiricalPmf:
     """Monte Carlo tally of the urn-walk sampler; deterministic given seed."""
+    import numpy as np
+
+    from .sampler import sample_urn_walk_batch
+
     require_int("trials", trials, 1)
     samples = sample_urn_walk_batch(params, state, trials)
     counts = np.bincount(samples, minlength=params.support_size + 1)[1:]

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .errors import ParameterError, ResourceGuardError, require_int
+from .errors import ParameterError, ResourceGuardError, brief, require_int
 from .exact import UrnParams
 from .floats import cdf_blocks
 from .rng import SamplerState
@@ -44,7 +44,7 @@ __all__ = [
 def _require_count(count: int) -> None:
     require_int("count", count, 1)
     if count > np.iinfo(np.intp).max // 8:  # numpy's size limit for 8-byte values
-        raise ResourceGuardError(f"count {count} exceeds the largest array numpy can hold")
+        raise ResourceGuardError(f"count {brief(count)} exceeds the largest array numpy can hold")
 
 
 def sample_urn_walk_batch(

@@ -348,11 +348,13 @@ def _check_fuzz_cases(seed, count):
 
 
 def _assert_one_line_or_output(result, case, codes=(0, 2, 3)):
-    # an exit in `codes`, no traceback and at most one `error:` line; a
-    # refusal writes nothing on stdout and that one line on stderr
+    # an exit in `codes`, no traceback and at most one `error:` line, of at
+    # most 200 characters whatever the arguments' size; a refusal writes
+    # nothing on stdout and that one line on stderr
     assert result.exit_code in codes, case
     assert "Traceback" not in result.stderr, case
     lines = result.stderr.splitlines()
+    assert all(len(line) <= 200 for line in lines), case
     assert sum(line.startswith("error: ") for line in lines) <= 1, case
     if result.exit_code in (2, 3):
         assert result.stdout == "", case
@@ -558,6 +560,7 @@ class TestTable:
             assert time.perf_counter() - start < 2.0, case
             assert result.exit_code in (0, 2, 3), case
             lines = result.stderr.splitlines()
+            assert all(len(line) <= 200 for line in lines), case  # a huge int is cut short
             if result.exit_code == 0:
                 assert lines == [], case
             else:
@@ -642,6 +645,7 @@ class TestStats:
             assert result.exit_code in (0, 2, 3), case
             assert "Traceback" not in result.stderr, case
             lines = result.stderr.splitlines()
+            assert all(len(line) <= 200 for line in lines), case  # a huge int is cut short
             if result.exit_code == 0:
                 assert lines == [], case
             else:
@@ -1054,6 +1058,7 @@ class TestConverge:
             assert result.exit_code in (0, 2, 3), case
             assert "Traceback" not in result.stderr, case
             lines = result.stderr.splitlines()
+            assert all(len(line) <= 200 for line in lines), case  # a huge int is cut short
             if result.exit_code:
                 assert result.stdout == "", case
                 assert len(lines) == 1 and lines[0].startswith("error: "), case
@@ -1195,10 +1200,11 @@ class TestImport:
             (("table", "--n", "1000", "--k", "7"), False),
             (("--help",), False),
             (("tabel", "--n", "10", "--k", "3"), False),
+            (("check", "--max-n", "4"), False),
             (("sample", "--n", "10", "--k", "3", "--count", "3"), True),
             (("converge", "--p-num", "1", "--p-den", "10", "--ns", "100"), True),
         ],
-        ids=["stats", "table", "help", "usage-error", "sample", "converge"],
+        ids=["stats", "table", "help", "usage-error", "check", "sample", "converge"],
     )
     def test_only_sample_and_converge_load_numpy(self, args, loads_numpy):
         # numpy is loaded neither by `import urndist.cli` nor by a command

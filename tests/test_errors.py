@@ -1,12 +1,13 @@
 """The integer contract: every integer argument goes through require_int."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from urndist import checks, convergence, exact, floats, oracle, sampler
-from urndist.errors import ParameterError, require_int
+from urndist.errors import ParameterError, brief, require_int
 from urndist.exact import UrnParams
 from urndist.rng import SamplerState
 
@@ -82,3 +83,36 @@ def test_messages():
     with pytest.raises(ParameterError) as info:
         require_int("count", 0, 1)
     assert str(info.value) == "count must be >= 1, got 0"
+
+
+@pytest.mark.parametrize("digits", [21, 22, 23, 181, 4300, 4301, 30103])
+def test_brief_cuts_long_ints_to_their_head_and_digit_count(digits):
+    # up to 21 digits an int is shown in full; past that its first 10 digits
+    # and its digit count, also past the int-to-str limit, where str raises
+    for value in (10 ** (digits - 1), 10**digits - 1, 3 ** int(digits * 2.0959)):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            text = str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        want = text if len(text) <= 21 else f"{text[:10]}...({len(text)} digits)"
+        assert brief(value) == want
+        assert brief(-value) == "-" + want
+
+
+def test_brief_cuts_long_texts_to_their_head_and_length():
+    assert brief("abc") == "'abc'"
+    assert brief("x" * 40) == repr("x" * 40)
+    assert brief("1" + "0" * 4300) == "'10000000000000000000'...(4301 chars)"
+
+
+def test_huge_ints_make_short_messages():
+    huge = -(10**4299)
+    with pytest.raises(ParameterError) as info:
+        require_int("count", huge, 1)
+    assert str(info.value) == "count must be >= 1, got -1000000000...(4300 digits)"
+    with pytest.raises(ParameterError) as info:
+        UrnParams(total=2**600, good=2**601)
+    assert str(info.value) == ("total must be >= good, got total=4149515568...(181 digits) "
+                               "good=8299031137...(181 digits)")

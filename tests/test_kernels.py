@@ -1,7 +1,9 @@
 """The numpy log-fail block kernel against the scalar float layer."""
 
+import ast
 import hashlib
 import itertools
+import pathlib
 import sys
 import threading
 from fractions import Fraction
@@ -189,6 +191,27 @@ def test_threads_get_their_own_workspace():
     assert not any(thread.is_alive() for thread in threads)
     assert len(finished) == len(urns)
     assert not mismatches
+
+
+def test_only_floats_names_the_block_scratch():
+    # the workspace is the private scratch of floats._log_fail_into: no other
+    # module of the package names it, the kernel that fills it or the
+    # Stirling block that kernel writes into it
+    private = {"_workspace", "_log_fail_into", "_stirlerr_block"}
+    root = pathlib.Path(__file__).resolve().parents[1]
+    found = []
+    for path in sorted((root / "src" / "urndist").glob("*.py")):
+        if path.name == "floats.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias)
+                    else node.value if isinstance(node, ast.Constant)
+                    else None)
+            if name in private:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
 
 
 # urns for the bit pin: a = bad - m or b = total - m runs across the ends of
