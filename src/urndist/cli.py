@@ -5,16 +5,17 @@ Parsing: argparse, with abbreviations off, so an option is accepted only
 under its full name, and with ``--help`` (no ``-h``) on ``urn`` and on
 every subcommand, printed to stdout with exit 0.  The runtime needs numpy
 and the standard library only, and loads what a command does not use only
-when it runs: numpy and the float layer come in with ``sample`` and
-``converge`` alone (their entry points, ``sample_urn_walk_batch``,
-``sample_inverse_cdf_batch`` and ``convergence_table``, are module
-attributes read from the package on first use), ``urn check`` imports
-the exact self-check modules, JSON output imports ``json``, ``sample``
-alone imports the generator state of ``rng``, and ``fractions`` comes in
-with the code that makes a Fraction (``stats``, ``converge`` and
-``check``).  So ``table``, ``stats``, ``check``, ``--help`` and a usage
-error run without numpy, and ``table``, ``sample``, ``--help`` and a usage
-error without ``fractions``.
+when it runs: numpy and the float block kernels come in with ``sample``
+alone, and ``converge`` loads the convergence report and the scalar float
+layer (``_loader``), which need no numpy (the entry points,
+``sample_urn_walk_batch``, ``sample_inverse_cdf_batch`` and
+``convergence_table``, are module attributes read from the package on
+first use), ``urn check`` imports the exact self-check modules, JSON output
+imports ``json``, ``sample`` alone imports the generator state of ``rng``,
+and ``fractions`` comes in with the code that makes a Fraction (``stats``,
+``converge`` and ``check``).  So every command but ``sample`` runs without
+numpy, and ``table``, ``sample``, ``--help`` and a usage error without
+``fractions``.
 
 Output: each subcommand names its columns once and hands its rows to one
 writer, ``_emit``.  CSV is a header and one line per row, floats at 17
@@ -92,8 +93,8 @@ _WALK_STEP_LANES = 100
 _SAMPLE_BYTES_LIMIT = 1 << 40
 
 
-# the entry points that need numpy, read on first use from the package,
-# which imports each from its submodule
+# the entry points of the commands with their own layers, read on first
+# use from the package, which imports each from its submodule
 _LAZY = ("sample_urn_walk_batch", "sample_inverse_cdf_batch", "convergence_table")
 
 
@@ -476,6 +477,16 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs) -> None:
         super().__init__(add_help=False, allow_abbrev=False, **kwargs)
         self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse reads a value that starts with "-" as an option unless it
+        # is one plain negative number, so a --ns list that starts with one
+        # (--ns -3,100) is joined to its flag, as --ns=-3,100 would be
+        args = list(sys.argv[1:] if args is None else args)
+        for i in range(len(args) - 2, -1, -1):
+            if args[i] == "--ns" and args[i + 1][:1] == "-" and args[i + 1][1:2].isdigit():
+                args[i : i + 2] = [f"--ns={args[i + 1]}"]
+        return super().parse_known_args(args, namespace)
 
     def print_help(self, file=None) -> None:
         # argparse's own ignores a refused write; this one lets it raise, so

@@ -13,61 +13,88 @@ c(p) = p M (M-1) q^(M-1) / 2 with M = floor(n*), and N*max_pointwise_error
 to the largest |term|; both are within 1/(pN) relative of their limits
 wherever pN >= 10 (0.33-0.53/(pN) measured for p <= 1/2).
 
-The scan
---------
+The gap
+-------
 Write N = total, K = good, B = N - K, p = K/N, q = B/N, j = n - 1, and
-Fail(j) = P(X > j) = prod_{i<j} (B-i)/(N-i).  Each factor divided by q is
-1 - iK/(B(N-i)), so the log ratio to the geometric law,
+Fail(j) = P(X > j) = prod_{i<j} (B-i)/(N-i).  Both distances are read off
+the log ratio to the geometric law, gap(j) = log(Fail(j) / q^j) <= 0:
 
-    gap(j) = log(Fail(j) / q^j) = sum_{i<j} log1p(-iK / (B(N-i))),
+    P(n) - G(n) = G(n) expm1(L(j)),  L(j) = gap(j) + log1p(j/(N-j)),
 
-is a cumulative sum of terms <= 0, in which nothing cancels.  One scan over
-j, in blocks, carries it and reads both distances off it:
+with G(n) = p exp(j log q) (log1p(j/(N-j)) is -log1p(-j/N) without the
+rounding of j/N near j = N).  gap(0) = gap(1) = 0.  For 2 <= j <= B/2,
+Stirling's formula with its exact error terms (``_loader._stirlerr``) on
+log(B!/(B-j)!) - log(N!/(N-j)!) gives, with a log a - (a-j) log(a-j) - j =
+j log a + a g(j/a) and g(t) = -(1-t) log1p(-t) - t = -sum_{k>=2} t^k/(k(k-1)),
 
-    P(n) - G(n) = G(n) expm1(gap(j) + log1p(j/(N-j))),  G(n) = p exp(j log q),
+    gap(j) = -sum_{k>=2} j^k (1 - q^(k-1)) / (k(k-1) B^(k-1))
+             + log1p(jK / (N(B-j))) / 2
+             + [stirlerr(B) - stirlerr(B-j)] - [stirlerr(N) - stirlerr(N-j)]:
 
-(log1p(j/(N-j)) is -log1p(-j/N) without the rounding of j/N near j = N)
-and the total variation below.  The ratio P(n)/G(n) is 1 at n = 1, and its
-step to n + 1, N(N-K-n+1) / ((N-n)(N-K)), is >= 1 exactly when n <= N/K: it
-rises, then falls, so P - G changes sign once, at the last m* with
-P(m*) >= G(m*).  The cdf gap q^m - Fail(m) = sum_{n<=m} (P(n) - G(n)) thus
-rises up to m* and falls after it, and
+the j log terms cancel exactly, and the N and B series differ by the
+factor 1 - q^(k-1), taken as -expm1((k-1) log q).  Every series term has
+one sign and they shrink by the factor j/B <= 1/2 or faster, so the sum
+stops when a term no longer changes it (2 to ~50 terms), and nothing in
+it cancels.  Past B/2 the series converges slowly, and gap is the shorter
+of two sums of logs of exact integer quotients: while j <= K,
+sum_{i<j} log(1 - iK/(B(N-i))) with 1 - iK/(B(N-i)) = N(B-i)/(B(N-i)),
+terms <= 0 in which nothing cancels; else log Fail(j) =
+sum_{i<K} log((N-j-i)/(N-i)), each factor at most 3/4 there (so each log
+is well conditioned, also for small K with j near N), less j log q, which
+cancels by a factor of at most ~12 as p < 1/2.  The searches below reach
+j > B/2 only where min(j, K) is at most ~700 (K < 2 ln(2N)).  gap is not
+taken from Loader's form of log Fail (``_loader._log_fail``) less its
+j log q term at small j: those terms are of size Kj/N and cancel down to
+gap, which left 5e-11 to 1e-10 relative error at (10^12, 10^6) and no
+correct digit at 2^100.
+
+The crossing
+------------
+The ratio P(n)/G(n) is 1 at n = 1, and its step to n + 1,
+N(N-K-n+1) / ((N-n)(N-K)), is >= 1 exactly when n <= N/K: it rises, then
+falls, so P - G changes sign once, at the last m* with P(m*) >= G(m*), the
+last n with L(n-1) >= 0.  The cdf gap q^m - Fail(m) = sum_{n<=m}
+(P(n) - G(n)) thus rises up to m* and falls after it, and
 
     tv = q^(m*) - Fail(m*) = max_m (q^m - Fail(m)) = max_m -q^m expm1(gap(m)),
 
-with m = B + 1, where Fail = 0, among the candidates: no mass is summed.
-This is the single-crossing argument of D. Freedman, "A remark on the
-difference between sampling with and without replacement", JASA 72 (1977),
-and P. Diaconis and D. Freedman, Ann. Probab. 8 (1980).  The positive and
-the negative parts of P - G each sum to tv, so no |P(n) - G(n)| exceeds it,
+with q^(B+1) at m = B + 1, where Fail = 0: no mass is summed.  This is the
+single-crossing argument of D. Freedman, "A remark on the difference
+between sampling with and without replacement", JASA 72 (1977), and
+P. Diaconis and D. Freedman, Ann. Probab. 8 (1980).  m* is found by
+bisection on the sign of L between L(1) = log1p(1/(N-1)) > 0 and
+j = 2 + floor(4B/K): gap(j) <= -sum_{i<j} iK/(BN) = -j(j-1)p/(2qN) and
+log1p(j/(N-j)) <= 2j/N for j <= N/2, so L(j) <= (j/N)(2 - (j-1)p/(2q)) < 0
+once j - 1 > 4q/p; where that j passes B or N/2 the bracket ends at
+B + 1, where P = 0.  tv is the largest of the candidates m* - 1, m* and
+m* + 1, in case rounding moved the crossing by one.  The positive and the
+negative parts of P - G each sum to tv, so no |P(n) - G(n)| exceeds it,
 and the reported tv is at least the reported largest one: for p > 2/3 only
 P(2) - G(2) is positive, and the two distances are equal but rounded by
 different formulas.
 
-gap is not taken from Loader's form of log Fail (``floats._log_fail``) less
-its j log q term: those terms are of size Kj/N and cancel down to gap,
-which left 5e-11 to 1e-10 relative error at (10^12, 10^6) and no correct
-digit at 2^100.
-
-Stop rule.  Neither P nor G grows with n, and at n = j + 1 both are at most
-q^j K/(N-j) (Fail(j) <= q^j, as every draw misses with chance (B-i)/(N-i)
-<= q).  The scan stops at the first block start j that is past the
-crossing (P < G at the last point scanned) and has q^j K/(N-j) below the
-largest |P - G| found: no later point can raise either distance.
-
-Guard.  The largest |P - G| is at least P(2) - G(2) = pq/(N-1).  For
-j <= N/2, K/(N-j) <= 2p, so the stop bound is below pq/(N-1) once
-q^(j-1) < 1/(2(N-1)), that is past J = 1 + ln(2(N-1)) / -log q.  And
-gap(j) <= -sum_{i<j} iK/(BN) = -j(j-1)p/(2qN), while -log1p(-j/N) <= 2j/N,
-so log(P/G) at n = j + 1 is at most (j/N)(2 - (j-1)p/(2q)), negative by far
-more than rounding once j - 1 > 5q/p.  As -log q <= p/q, J - 2 >=
-(q/p) ln(2(N-1)) - 1 > 5q/p for p <= 1/2 and N >= 1000; for p > 1/2 the
-first block alone passes 5q/p.  So when J + LOG_FAIL_BLOCK <= N/2 (and
-N >= 1000) the scan stops at a block start below J + LOG_FAIL_BLOCK, and
-otherwise it may run to the end of the support.  Urns whose bound exceeds
-``_SCAN_POINTS_LIMIT`` are refused with ``ResourceGuardError`` before any
-point is scanned.  J is below the old scan's lower bound 60 ln 2 / -log q
-for N below about 5e17.
+The searches
+------------
+|P - G| rises and then falls on each side of m* (checked exactly, with
+Fractions, at every urn of total <= 200; not proven), so one integer
+search per side finds its top: n = 2..m* and n = m* + 1 on.  A ternary
+search keeps its two probes a third of the bracket apart, so that where
+rounding flattens a wide top (at K = 2 or 3 the top is ~N wide) the value
+found is within a few ulps of the largest, though the n may differ from
+the exact argmax; the last bracket and its neighbours settle ties to the
+first largest.  The probes compare log|P - G| = log p + j log q +
+log|expm1(L)|, since q^j underflows in the far tails of urns with p near 1
+(L <= log(N/K) < 355, so expm1 never overflows).  The second side ends
+where no point can pass P(2) - G(2) = pq/(N-1) <= the largest |P - G|:
+neither P nor G grows with n, and at n = j + 1 both are at most
+q^j K/(N-j) (Fail(j) <= q^j, as every draw misses with chance
+(B-i)/(N-i) <= q), below pq/(N-1) from j = 1 + ln(2(N-1)) / -log q on
+where that j is at most N/2, as K/(N-j) <= 2p there; otherwise it ends at
+B.  At K = 1 the law is uniform and |P - G| = (1 - q^(n-1))/N rises over
+the whole support, flat to within rounding at its end, so the report
+takes its closed form: at_n = N, tv = q^N.  A report costs at most about
+8 log2(N) scalar evaluations of gap, whatever p is: 0.1-2 ms in process up
+to total 10^18, and at most ~35 ms near 2^511, on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -76,12 +103,10 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-import numpy as np
-
+from ._loader import _fail_constants, _stirlerr
 from ._record import FrozenRecord
-from .errors import ParameterError, ResourceGuardError, brief, require_int
+from .errors import ParameterError, brief, require_int
 from .exact import UrnParams
-from .floats import LOG_FAIL_BLOCK, _fail_constants
 
 __all__ = [
     "ConvergenceRecord",
@@ -89,12 +114,6 @@ __all__ = [
     "tv_distance",
     "convergence_table",
 ]
-
-# Largest bound on the scan, in points, that an urn may have (see Guard in
-# the module docstring).  On a 2-core Xeon the scan costs 23-25 ns per point
-# over 1.5e7-9e7 points and stops at 0.47-0.54 of its bound, so an urn at the
-# limit takes about 2.5 s in process; (1e12, 1.5e5), bound 1.9e8, took 2.2 s.
-_SCAN_POINTS_LIMIT = 2 * 10**8
 
 
 class ConvergenceRecord(FrozenRecord):
@@ -122,80 +141,99 @@ def geometric_pmf(p: float, n: int) -> float:
     return math.exp((n - 1) * math.log1p(-p)) * p
 
 
-def _require_scan_budget(params: UrnParams) -> None:
-    """Refuse an urn whose scan may pass ``_SCAN_POINTS_LIMIT`` points: its
-    support, unless the bound J + LOG_FAIL_BLOCK of the module docstring
-    holds (it is at most N/2) and is smaller."""
-    if params.support_size <= _SCAN_POINTS_LIMIT:
-        return
-    log_q = _fail_constants(params.total, params.good)[1]
-    bound = 1 + math.log(2 * (params.total - 1)) / -log_q + LOG_FAIL_BLOCK
-    if bound > _SCAN_POINTS_LIMIT or 2 * bound > params.total:
-        raise ResourceGuardError(
-            f"the convergence scan may need more than its limit of "
-            f"{_SCAN_POINTS_LIMIT:.3g} points: p is too small for this total"
-        )
+def _gap(total: int, good: int, log_q: float, j: int) -> float:
+    """gap(j) = log(Fail(j) / q^j), for 0 <= j <= bad: the Stirling series
+    while 2j <= bad, then the shorter sum of logs of exact quotients (see The
+    gap in the module docstring)."""
+    bad = total - good
+    if j < 2:
+        return 0.0  # Fail(1) = q
+    if j + j <= bad:
+        # sum_{k>=2} j^k (1 - q^(k-1)) / (k(k-1) B^(k-1)), with j^k / B^(k-1)
+        # = j t^(k-1): terms of one sign that shrink by t <= 1/2 or faster
+        t = j / bad
+        power, series, k = j * t, 0.0, 2
+        while series + (term := power * -math.expm1((k - 1) * log_q) / (k * (k - 1))) != series:
+            series += term  # the tail after a term is at most the term
+            power *= t
+            k += 1
+        return (0.5 * math.log1p(j * good / (total * (bad - j))) - series
+                + (_stirlerr(bad) - _stirlerr(bad - j))
+                - (_stirlerr(total) - _stirlerr(total - j)))
+    if j <= good:
+        # terms log(1 - iK/(B(N-i))) <= 0 of exact quotients: nothing cancels
+        return math.fsum(math.log(total * (bad - i) / (bad * (total - i))) for i in range(j))
+    # Fail(j) = prod_{i<K} (N-j-i)/(N-i), each factor an exact quotient of at
+    # most 3/4, less j log q, which cancels by a factor of at most ~12 here
+    return math.fsum(math.log((total - j - i) / (total - i)) for i in range(good)) - j * log_q
 
 
 def _tv_stats(params: UrnParams) -> tuple[float, float, int]:
-    """(tv distance, max pointwise |pmf - geometric|, argmax n), from one
-    scan of gap(j), j = n - 1, as the module docstring sets out.
-
-    No point past the stop can raise either distance: max_err and at_n are
-    those of the computed values over the whole support, and tv is the
-    largest computed candidate over every m.
-    """
+    """(tv distance, max pointwise |pmf - geometric|, argmax n), from a
+    bisection for the crossing and one peak search on each side of it, as
+    the module docstring sets out."""
     total, good = params.total, params.good
     bad = total - good
     if not bad:
         return 0.0, 0.0, 1  # both laws are the point mass at 1
     log_q = _fail_constants(total, good)[1]  # refuses totals from 2^511 on
-    p, ratio = good / total, good / bad
-    tv = max_err = gap = 0.0
-    at_n, crossed, j0 = 1, False, 1
-    k = np.arange(min(LOG_FAIL_BLOCK, bad), dtype=np.float64)
-    x, y, geo = np.empty((3, k.size))
-    while j0 <= bad:  # the block j = j0, j0 + 1, ..., at n = j + 1
-        if crossed and math.exp(j0 * log_q) * good / (total - j0) < max_err:
-            break
-        count = min(LOG_FAIL_BLOCK, bad - j0 + 1)
-        kc, g, d, c = k[:count], x[:count], y[:count], geo[:count]
-        # gap(j) = gap(j0 - 1) + the terms at i = j0 - 1, ..., j - 1
-        np.subtract(float(total - j0 + 1), kc, out=d)  # N - i
-        np.add(kc, float(j0 - 1), out=g)  # i: exact below 2^53, far past any scan
-        np.divide(g, d, out=g)
-        np.multiply(g, -ratio, out=g)
-        np.log1p(g, out=g)
-        np.cumsum(g, out=g)
-        np.add(g, gap, out=g)
-        gap = float(g[-1])
-        np.add(kc, float(j0), out=c)  # j
-        np.subtract(float(total - j0), kc, out=d)  # N - j
+    p = good / total
+    if good == 1:
+        # the uniform law: P - G = (1 - q^(n-1))/N rises to n = N, and tv is
+        # the candidate m = N, where Fail = 0
+        tv, max_err = math.exp(total * log_q), -p * math.expm1(bad * log_q)
+        return max(tv, max_err), max_err, total
+
+    def ratio(j: int) -> float:  # log(P/G) at n = j + 1
         # -log1p(-j/N) as log1p(j/(N-j)): j/N would be rounded near j = N
-        np.divide(c, d, out=d)
-        np.log1p(d, out=d)
-        np.add(g, d, out=d)
-        np.expm1(d, out=d)  # P/G - 1 at n = j + 1
-        crossed = d[-1] < 0.0
-        np.multiply(c, log_q, out=c)
-        np.exp(c, out=c)  # q^j
-        np.multiply(d, c, out=d)  # (P - G) / p
-        np.expm1(g, out=g)
-        np.multiply(g, c, out=g)  # Fail(j) - q^j
-        tv = max(tv, -float(g.min()))
-        np.abs(d, out=d)
-        i = int(d.argmax())
-        if p * d[i] > max_err:
-            max_err, at_n = p * float(d[i]), j0 + i + 1
-        j0 += count
-    if j0 > bad:  # the candidate m = B + 1, where Fail = 0
-        tv = max(tv, math.exp((bad + 1) * log_q))
-    return max(tv, max_err), max_err, at_n  # tv >= every |P - G|
+        return _gap(total, good, log_q, j) + math.log1p(j / (total - j))
+
+    def key(j: int) -> float:  # log(|P - G| / p) at n = j + 1; q^j may underflow
+        d = math.expm1(ratio(j))
+        return math.log(abs(d)) + j * log_q if d else -math.inf
+
+    def peak(lo: int, hi: int) -> int:
+        # the first top of key on lo..hi, where it rises and then falls: a
+        # ternary search, whose two probes stay a third of the bracket apart,
+        # so that rounding in a flat top costs a few ulps of the value; then
+        # the first largest of the last bracket and its neighbours
+        a, b = lo, hi
+        while b - a > 2:
+            third = (b - a) // 3
+            if key(a + third) < key(b - third):
+                a += third + 1
+            else:
+                b -= third + 1
+        return max(range(max(lo, a - 1), min(hi, b + 1) + 1), key=key)
+
+    # s = m* - 1, the last j with ratio(j) >= 0; ratio(1) > 0, and ratio < 0
+    # from 2 + 4B/K on where that is at most N/2
+    lo, hi = 1, 2 + 4 * bad // good
+    if hi > bad or 2 * hi > total:
+        hi = bad + 1  # P = 0 < G there
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ratio(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    s = lo
+    tv = max(
+        math.exp(m * log_q) if m > bad  # Fail(B + 1) = 0
+        else -(math.expm1(_gap(total, good, log_q, m)) * math.exp(m * log_q))
+        for m in range(s, min(s + 2, bad + 1) + 1)
+    )
+    # no |P - G| from j = J on passes P(2) - G(2), J of The searches
+    edge = int(1 + math.log(2 * (total - 1)) / -log_q) + 2
+    last = bad if 2 * edge > total else min(bad, edge)
+    tops = [peak(1, s)] + ([peak(s + 1, last)] if s < last else [])
+    j = max(tops, key=key)
+    max_err = p * abs(math.expm1(ratio(j)) * math.exp(j * log_q))
+    return max(tv, max_err), max_err, j + 1  # tv >= every |P - G|
 
 
 def tv_distance(params: UrnParams) -> float:
     """Total-variation distance to the geometric law with p = good/total."""
-    _require_scan_budget(params)
     return _tv_stats(params)[0]
 
 
@@ -226,6 +264,5 @@ def convergence_table(
                 f"{brief(total)} * {p_text} is not an integer"
             )
         urns.append(UrnParams(total=total, good=good_times_den // p.denominator))
-        _require_scan_budget(urns[-1])
     return [ConvergenceRecord(u.total, u.good, u.good / u.total, *_tv_stats(u))
             for u in urns]

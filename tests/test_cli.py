@@ -967,8 +967,8 @@ class TestIntWriter:
 def _converge_fuzz_cases(seed, count):
     """(p_num, p_den, ns, format) argument strings for `urn converge`: the
     adversarial ones in both formats, then ``count`` drawn from a seeded
-    generator.  A valid urn here scans at most about 2 * 10^7 points, or is
-    refused by the scan guard before any."""
+    generator.  A valid urn here has a total below 2^511 (the float
+    domain), where its report takes milliseconds, or is refused past it."""
     wide, huge = 10**4299, 2**600  # 4300 digits: the int-to-str limit
     fixed = [
         (1, 10, "100,1000"), (7, 9, "9,900"), (1, 2, "2"), (1, 2, str(2**100)),
@@ -995,6 +995,18 @@ def _converge_fuzz_cases(seed, count):
         ]
         cases.append((num, den, ",".join(map(str, totals)), rng.choice(["csv", "json"])))
     return [(str(num), str(den), ns, fmt) for num, den, ns, fmt in cases]
+
+
+def _valid_converge_urns(num, den, ns):
+    """Whether `urn converge` has a report for these argument strings: p in
+    (0, 1), and every total an int in [1, 2^511) that makes total * p whole."""
+    try:
+        num, den = int(num), int(den)
+        totals = [int(part) for part in ns.split(",") if part.strip()]
+    except ValueError:  # no int, or past the int-to-str limit
+        return False
+    return 0 < num < den and bool(totals) and all(
+        1 <= total < 2**511 and total * num % den == 0 for total in totals)
 
 
 class TestConverge:
@@ -1044,8 +1056,8 @@ class TestConverge:
                      "--ns", "1000000,10000000")
         assert result.exit_code == 0
         assert result.output.splitlines()[1:] == [
-            "1000000,100,0.0001,0.0027156223730845299,2.3164523454259637e-07,5874",
-            "10000000,1000,0.0001,0.00027074728173534746,2.3068542293376223e-08,5860",
+            "1000000,100,0.0001,0.0027156223730845355,2.316452345425964e-07,5874",
+            "10000000,1000,0.0001,0.00027074728173534713,2.3068542293376243e-08,5860",
         ]
 
     def test_fuzzed_arguments_end_in_one_line_or_rows(self, runner):
@@ -1055,7 +1067,9 @@ class TestConverge:
             result = run(runner, "converge", "--p-num", num, "--p-den", den,
                          "--ns", ns, "--format", fmt)
             assert time.perf_counter() - start < 2.0, case
-            assert result.exit_code in (0, 2, 3), case
+            # no guard is left: a valid urn in the float domain is reported
+            assert result.exit_code == 0 if _valid_converge_urns(num, den, ns) else (
+                result.exit_code in (2, 3)), case
             assert "Traceback" not in result.stderr, case
             lines = result.stderr.splitlines()
             assert all(len(line) <= 200 for line in lines), case  # a huge int is cut short
@@ -1076,13 +1090,39 @@ class TestConverge:
                 assert 0.0 < max_err <= tv <= 1.0, case
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_tiny_p_scan_guard_exit_3_within_1s(self, fmt):
-        # the scan's bound is about 4.0e12 points
+    def test_tiny_p_exit_0_within_1s(self, fmt):
+        # p = 1e-11 at N = 1e17, whose scan would have been ~4e12 points; the
+        # references are from mpmath at 400 digits (m* = 199999933333, the
+        # top of |P - G| at n = 58578659593, flat to 1e-23)
+        root = os.path.dirname(os.path.dirname(urndist.__file__))
         start = time.perf_counter()
-        out = _refused_within_2s("converge", "--p-num", "1", "--p-den", "100000000000",
-                                 "--ns", "100000000000000000", "--format", fmt)
+        out = subprocess.run(
+            [sys.executable, "-m", "urndist.cli", "converge", "--p-num", "1",
+             "--p-den", "100000000000", "--ns", "100000000000000000", "--format", fmt],
+            env=dict(os.environ, PYTHONPATH=root), capture_output=True, text=True, timeout=60,
+        )
         assert time.perf_counter() - start < 1.0
-        assert "points" in out.stderr
+        assert (out.returncode, out.stderr) == (0, "")
+        if fmt == "json":
+            row = json.loads(out.stdout)["rows"][0]
+            tv, max_err = row["tv_distance"], row["max_pointwise_error"]
+        else:
+            tv, max_err = map(float, out.stdout.splitlines()[1].split(",")[3:5])
+        assert tv == pytest.approx(2.7067065669542426276e-7, rel=1e-12, abs=0)
+        assert max_err == pytest.approx(2.3057950196870403417e-18, rel=1e-12, abs=0)
+
+    def test_negative_total_list_names_the_total(self, runner):
+        # a --ns list that starts with a negative number is read as the value
+        # of --ns, as --ns=-3,100 is; other options keep argparse's reading
+        for ns in (["--ns", "-3,100"], ["--ns=-3,100"]):
+            result = run(runner, "converge", "--p-num", "1", "--p-den", "10", *ns)
+            assert (result.exit_code, result.stdout) == (2, "")
+            assert result.stderr == "error: total must be >= 1, got -3\n"
+        result = run(runner, "converge", "--p-num", "-3,5", "--p-den", "10", "--ns", "100")
+        assert result.exit_code == 2
+        assert result.stderr == "error: argument --p-num: expected one argument\n"
+        result = run(runner, "converge", "--p-num", "1", "--p-den", "10", "--ns", "--format")
+        assert result.stderr == "error: argument --ns: expected one argument\n"
 
 
 class TestCheck:
@@ -1202,11 +1242,11 @@ class TestImport:
             (("tabel", "--n", "10", "--k", "3"), False),
             (("check", "--max-n", "4"), False),
             (("sample", "--n", "10", "--k", "3", "--count", "3"), True),
-            (("converge", "--p-num", "1", "--p-den", "10", "--ns", "100"), True),
+            (("converge", "--p-num", "1", "--p-den", "10", "--ns", "100"), False),
         ],
         ids=["stats", "table", "help", "usage-error", "check", "sample", "converge"],
     )
-    def test_only_sample_and_converge_load_numpy(self, args, loads_numpy):
+    def test_only_sample_loads_numpy(self, args, loads_numpy):
         # numpy is loaded neither by `import urndist.cli` nor by a command
         # that needs no float array
         code = (

@@ -1,17 +1,11 @@
 """Convergence diagnostics against brute-force references."""
 
 import math
-import os
-import subprocess
-import sys
-import textwrap
+import time
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 import pytest
-
-import urndist
 
 from urndist import (
     ConvergenceRecord,
@@ -24,9 +18,8 @@ from urndist import (
     tv_distance,
 )
 from urndist import convergence
-from urndist.convergence import _tv_stats
-from urndist.errors import ResourceGuardError
-from urndist.floats import LOG_FAIL_BLOCK
+from urndist._loader import _fail_constants
+from urndist.convergence import _gap, _tv_stats
 
 
 class TestGeometricPmf:
@@ -243,25 +236,6 @@ def _full_scan(total, good, bits=256):
     return tv / one, [(value / one, n) for value, n in top]
 
 
-def _scanned_points(monkeypatch):
-    """Record the points of each block of the scan: it takes one cumulative
-    sum of gap terms per block."""
-    points = []
-    real = np.cumsum
-
-    def counting(a, *args, **kwargs):
-        points.append(a.size)
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np, "cumsum", counting)
-    return points
-
-
-def _scan_bound(total, good):
-    """J + LOG_FAIL_BLOCK of the convergence module's guard."""
-    return 1 + math.log(2 * (total - 1)) / -math.log1p(-good / total) + LOG_FAIL_BLOCK
-
-
 class TestBoundedScan:
     @pytest.mark.parametrize(
         "total,good",
@@ -286,69 +260,6 @@ class TestBoundedScan:
         if ref_err - second > 1e-9 * ref_err:
             assert at_n == ref_at
 
-    def test_stop_bounds_the_work(self, monkeypatch):
-        points = _scanned_points(monkeypatch)
-        for total, good in ((10**6, 100), (10**7, 1000), (10**8, 10**4), (10**12, 10**6)):
-            points.clear()
-            _tv_stats(UrnParams(total, good))
-            assert 0 < sum(points) < _scan_bound(total, good), (total, good)
-        # the stop fires at the third and the fourth block start; the
-        # mass-based stop that came before needed at least 415,889 points at
-        # (10^6, 100), and a scan to the geometric underflow point at
-        # (10^7, 1000) would take 7,999,602
-        for (total, good), blocks in (((10**6, 100), 2), ((10**7, 1000), 3)):
-            points.clear()
-            _tv_stats(UrnParams(total, good))
-            assert points == [LOG_FAIL_BLOCK] * blocks
-
-    def test_short_support_is_scanned_to_its_end(self, monkeypatch):
-        points = _scanned_points(monkeypatch)
-        # P - G > 0 on the whole support when good = 1: no crossing to stop at
-        _tv_stats(UrnParams(1000000, 1))
-        assert sum(points) == 1000000 - 1
-
-
-class TestScanGuard:
-    def test_tiny_p_refused_before_the_scan(self, monkeypatch):
-        def no_scan(params):
-            raise AssertionError("scanned")
-
-        monkeypatch.setattr(convergence, "_tv_stats", no_scan)
-        with pytest.raises(ResourceGuardError):
-            convergence_table(Fraction(1, 10**11), [10**17])
-        with pytest.raises(ResourceGuardError):  # a later total is refused first
-            convergence_table(Fraction(1, 10**11), [10**11, 10**17])
-        with pytest.raises(ResourceGuardError):
-            tv_distance(UrnParams(10**17, 10**6))
-
-    def test_guard_follows_the_stop_rule_bound(self):
-        limit = convergence._SCAN_POINTS_LIMIT
-        good = 10**6
-        # neighbouring totals whose bounds lie 12 and 19 points either side of it
-        for total, refused in ((good * 6618361, True), (good * 6618360, False)):
-            assert (_scan_bound(total, good) > limit) == refused
-            params = UrnParams(total, good)
-            if refused:
-                with pytest.raises(ResourceGuardError):
-                    convergence._require_scan_budget(params)
-            else:
-                convergence._require_scan_budget(params)
-        # a support within the limit is always scanned, however small p is
-        convergence._require_scan_budget(UrnParams(limit, 1))
-        with pytest.raises(ResourceGuardError):
-            convergence._require_scan_budget(UrnParams(limit + 1, 1))
-        # the bound holds only up to N/2: past it the support counts
-        assert _scan_bound(3 * 10**8, 35) < limit < 2 * _scan_bound(3 * 10**8, 35)
-        with pytest.raises(ResourceGuardError):
-            convergence._require_scan_budget(UrnParams(3 * 10**8, 35))
-        convergence._require_scan_budget(UrnParams(3 * 10**8, 50))
-
-    def test_large_p_scans_one_block_at_any_total(self, monkeypatch):
-        points = _scanned_points(monkeypatch)
-        records = convergence_table(Fraction(1, 2), [10**18])
-        assert points == [LOG_FAIL_BLOCK]
-        assert records[0].at_n == 2
-
 
 # urn: (m*, at_n, the n of the second largest |P - G|), from full mpmath scans
 # at 60-100 digits that stepped Fail(j) and q^j over the support until the
@@ -366,6 +277,16 @@ _MPMATH_URNS = {
 }
 
 
+# urns whose scan was refused, as too long: (m*, at_n, the n of the second
+# largest |P - G|), from a bisection for m* and peak searches of |P - G| on
+# either side of it, in mpmath at 400 digits
+_MPMATH_SEARCHED_URNS = {
+    (10**12, 10**3): (1999333111, 585944808, 585944807),
+    (10**15, 1): (10**15, 10**15, 10**15 - 1),
+    (10**18, 10**5): (19999933333111, 5857880205472, 5857880205473),
+}
+
+
 def _mpmath_values(total, good, m_star, ns):
     """tv = q^m* - Fail(m*) and |P(n) - G(n)| at each n, at 100 digits."""
     with mpmath.workdps(100):
@@ -376,7 +297,7 @@ def _mpmath_values(total, good, m_star, ns):
                     - mpmath.loggamma(bad - m + 1) - mpmath.loggamma(total + 1))
 
         q = bad / total
-        tv = q**m_star - mpmath.exp(log_fail(m_star))
+        tv = q**m_star - (mpmath.exp(log_fail(m_star)) if m_star <= total - good else 0)
         errs = [abs(mpmath.exp(log_fail(n - 1)) * good / (total - n + 1)
                     - q ** (n - 1) * good / total) for n in ns]
         return float(tv), [float(e) for e in errs]
@@ -397,29 +318,137 @@ class TestMpmathReferences:
             # 3 tie to first order
             assert at_n in (ref_at, second_at)
 
+    @pytest.mark.parametrize("total, good", list(_MPMATH_SEARCHED_URNS))
+    def test_unscanned_urns_within_1e12(self, total, good):
+        m_star, ref_at, second_at = _MPMATH_SEARCHED_URNS[(total, good)]
+        tv, max_err, at_n = _tv_stats(UrnParams(total, good))
+        ref_tv, (ref_err, second, at_err) = _mpmath_values(
+            total, good, m_star, [ref_at, second_at, at_n])
+        assert tv == pytest.approx(ref_tv, rel=1e-12, abs=0)
+        assert max_err == pytest.approx(ref_err, rel=1e-12, abs=0)
+        # the tops are flat to 1e-15 or better, so at_n is any point of the
+        # top: |P - G| there is the largest within 1e-12
+        assert ref_err - second < 1e-15 * ref_err
+        assert at_err == pytest.approx(ref_err, rel=1e-12, abs=0)
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt is Linux's")
-def test_block_scan_does_not_fault_per_block():
-    # Minor page faults of the benchmark's convergence scan in a fresh
-    # process: 29,520 when every block temporary was a new 256 KiB mapping,
-    # about 860 with the per-thread workspace (glibc malloc, x86-64 Linux).
-    code = textwrap.dedent(
-        """
-        import resource
-        from fractions import Fraction
-        from urndist import convergence_table
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        convergence_table(Fraction(1, 10000), [10**6, 10**7])
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-        """
+
+def _mpmath_gap(total, good, j):
+    """log(Fail(j) / q^j) from loggamma at twice the digits of total."""
+    with mpmath.workdps(2 * len(str(total)) + 60):
+        bad = mpmath.mpf(total - good)
+        log_fail = (mpmath.loggamma(total - j + 1) + mpmath.loggamma(bad + 1)
+                    - mpmath.loggamma(bad - j + 1) - mpmath.loggamma(total + 1))
+        return float(log_fail - j * mpmath.log(bad / total))
+
+
+def _mpmath_scan(total, good):
+    """(tv, [(|P - G|, n) of the largest and the second largest]) over the
+    whole support, Fail(j) and q^j stepped as products in mpmath."""
+    with mpmath.workdps(2 * len(str(total)) + 60):
+        bad = total - good
+        q = mpmath.mpf(bad) / total
+        fail, geo, tv, errs = mpmath.mpf(1), mpmath.mpf(1), 0, []
+        for j in range(bad + 1):
+            errs.append((abs(fail * good / (total - j) - geo * good / total), j + 1))
+            tv = max(tv, geo - fail)
+            fail, geo = fail * (bad - j) / (total - j), geo * q
+        tv = max(tv, geo)  # m = bad + 1, where Fail = 0
+        errs.sort(key=lambda e: -e[0])
+        return float(tv), [(float(e), n) for e, n in errs[:2]]
+
+
+class TestSearch:
+    """The gap, the bisection for the crossing and the peak searches."""
+
+    @pytest.mark.parametrize(
+        "total, good, j",
+        [
+            # the series, from j/B small to j/B = 1/2
+            (10**6, 100, 5873),
+            (10**12, 10**6, 1999998),
+            (10**18, 10**5, 5857880205472),
+            (10**6, 100, 499950),
+            (2**100, 2**99, 40),
+            # past B/2: prod_{i<K} (N-j-i)/(N-i) less j log q, from exact
+            # quotients where log1p(-j/N) would carry the rounding of j/N
+            # (5.6e-8 relative at (10^15, 1))
+            (10**15, 1, 10**15 - 2),
+            (10**15, 3, 10**15 - 3),
+            (10**15, 3, 10**15 - 10**6),
+            (1000, 3, 996),
+            # past B/2 with j <= K: the sum of log(N(B-i)/(B(N-i)))
+            (10**6, 10**6 - 4, 3),
+            (2**510, 2**510 - 7, 7),
+        ],
+        ids=["1e6-100-series", "1e12-1e6-series", "1e18-1e5-series", "1e6-100-half",
+             "2^100-series", "1e15-1-near-N", "1e15-3-at-B", "1e15-3-near-N", "1000-3-at-B",
+             "1e6-bad-4-sum", "2^510-bad-7-sum"],
     )
-    root = os.path.dirname(os.path.dirname(urndist.__file__))
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=root),
-        capture_output=True,
-        text=True,
-        timeout=60,
-        check=True,
+    def test_gap_matches_mpmath(self, total, good, j):
+        got = _gap(total, good, _fail_constants(total, good)[1], j)
+        assert got == pytest.approx(_mpmath_gap(total, good, j), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize(
+        "total, good", [(2**510, 2**510 - 7), (2**510 + 12345, 2**510 - 60)],
+        ids=["2^510-bad-7", "2^510+12345-bad-12405"],
     )
-    assert int(out.stdout) < 5000
+    def test_far_tails_where_q_to_the_j_underflows(self, total, good):
+        # G(n) = p q^(n-1) underflows from n = 4 on, inside the searched
+        # range; the searches compare log|P - G|, so no tie of zeros misleads
+        assert math.exp(3 * _fail_constants(total, good)[1]) == 0.0
+        tv, max_err, at_n = _tv_stats(UrnParams(total, good))
+        ref_tv, ((ref_err, ref_at), (_, second_at)) = _mpmath_scan(total, good)
+        assert tv == pytest.approx(ref_tv, rel=1e-12, abs=0)
+        assert max_err == pytest.approx(ref_err, rel=1e-12, abs=0)
+        # n = 2 and 3 tie to first order at p near 1
+        assert {ref_at, second_at} == {2, 3} and at_n in (2, 3)
+
+    @pytest.mark.parametrize("total", [*range(2, 40), 1000])
+    def test_uniform_urn_argmax_is_the_last_draw(self, total):
+        # at K = 1, |P - G| = (1 - q^(n-1))/N rises over the whole support,
+        # and at_n is its closed form N, the full scan's first argmax
+        tv, max_err, at_n = _tv_stats(UrnParams(total, 1))
+        ref_tv, ((ref_err, ref_at), _) = _full_scan(total, 1)
+        assert at_n == ref_at == total
+        assert tv == pytest.approx(ref_tv, rel=1e-12, abs=0)
+        assert max_err == pytest.approx(ref_err, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("total", [10**15, 2**510], ids=["10^15", "2^510"])
+    def test_uniform_urn_at_a_flat_top(self, total):
+        # neighbouring |P - G| differ by ~0.58/N relative, below rounding
+        assert _tv_stats(UrnParams(total, 1))[2] == total
+
+    @pytest.mark.parametrize(
+        "total, good",
+        [(10**6, 100), (10**12, 10**6), (10**17, 10**6), (10**18, 10**5), (10**15, 3),
+         (2**510, 3), (2**510, 700), (10**18, 5 * 10**17), (10**6, 10**6 - 4)],
+        ids=["1e6-100", "1e12-1e6", "1e17-1e6", "1e18-1e5", "1e15-3", "2^510-3",
+             "2^510-700", "1e18-5e17", "1e6-bad-4"],
+    )
+    def test_work_grows_with_log_total_not_with_1_over_p(self, monkeypatch, total, good):
+        real, calls = convergence._gap, []
+
+        def counting(total, good, log_q, j):
+            calls.append(j)
+            return real(total, good, log_q, j)
+
+        monkeypatch.setattr(convergence, "_gap", counting)
+        _tv_stats(UrnParams(total, good))
+        assert 0 < len(calls) <= 10 * total.bit_length()
+        # past B/2 gap is a sum of min(j, K) logs: the searches go there only
+        # where that is short
+        assert max((min(j, good) for j in calls if 2 * j > total - good), default=0) <= 700
+
+    def test_tiny_p_reported_within_1s(self):
+        start = time.perf_counter()
+        records = convergence_table(Fraction(1, 10**11), [10**11, 10**17])
+        assert time.perf_counter() - start < 1.0
+        assert [(r.good, r.at_n) for r in records[:1]] == [(1, 10**11)]
+        assert records[1].good == 10**6
+
+    def test_large_p_at_any_total(self):
+        # the crossing bracket ends at 2 + 4B/K = 6, and every point past
+        # J = 1 + ln(2(N-1))/ln 2 is below P(2) - G(2)
+        records = convergence_table(Fraction(1, 2), [10**18])
+        assert records[0].at_n == 2
+        assert records[0].max_pointwise_error == pytest.approx(0.25 / (10**18 - 1), rel=1e-15)

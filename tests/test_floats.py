@@ -1,6 +1,8 @@
 """Float-layer accuracy against the exact layer and high-precision references."""
 
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -22,7 +24,7 @@ from urndist import (
     variance,
     variance_float,
 )
-from urndist import floats
+from urndist import _loader, floats
 
 BIG = UrnParams(total=10**9, good=10**6)
 
@@ -175,6 +177,30 @@ class TestStirlerr:
         floats._stirlerr_block(1100, x, out)
         want = np.array([floats._stirlerr(n) for n in range(1100, -1, -1)])
         assert np.array_equal(out.view(np.int64), want.view(np.int64))
+
+
+def test_scalar_layer_loads_no_numpy():
+    # the scalar half of the float layer and the convergence report built on
+    # it run in a fresh process without numpy; floats re-exports its names
+    code = (
+        "import sys\n"
+        "from urndist import _loader, convergence, exact\n"
+        "urn = exact.UrnParams(10**12, 10**6)\n"
+        "values = [_loader.log_fail(urn, 5), _loader.pmf_float(urn, 5), "
+        "_loader.cdf_float(urn, 5), convergence.tv_distance(urn)]\n"
+        "print('numpy' in sys.modules, all(v == v for v in values))\n"
+    )
+    root = os.path.dirname(os.path.dirname(floats.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=root),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == ["False", "True"]
+    for name in ("log_fail", "pmf_float", "cdf_float", "mean_float", "variance_float"):
+        assert getattr(floats, name) is getattr(_loader, name)
 
 
 class TestDomain:

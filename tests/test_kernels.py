@@ -235,7 +235,7 @@ BITS_REPORTS = (
     (Fraction(7, 9), (9, 900, 9 * 10**5)),
 )
 # sha256 of the float layer's bits over these urns and reports
-FLOAT_BITS_SHA256 = "bd164802436da54370d8939e4891ba02615c01090bcabb85f0b9a1c1e310e5d6"
+FLOAT_BITS_SHA256 = "5a839a7374919004c88d7482a9b981fc99153016b09040cbb1918797778d66c1"
 
 
 def _float_bits_digest() -> str:
